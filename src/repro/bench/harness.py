@@ -7,12 +7,12 @@ This module provides exactly that machinery.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.bench.core import timed
 from repro.community.base import CommunityDetector
 from repro.graph.csr import Graph
 from repro.parallel.backend import materialize, resolve_backend
@@ -22,6 +22,9 @@ __all__ = ["ExperimentRow", "run_matrix", "aggregate_rows", "relative_to_baselin
 
 AlgorithmFactory = Callable[[int], CommunityDetector]
 """Builds a fresh detector from a run seed."""
+
+#: Per-loop telemetry fields averaged into :attr:`ExperimentRow.loops`.
+_LOOP_FIELDS = ("time", "imbalance", "overhead_share", "stale_lag_mean")
 
 
 def _run_cell(graph, factory: AlgorithmFactory, seed: int) -> dict:
@@ -33,10 +36,7 @@ def _run_cell(graph, factory: AlgorithmFactory, seed: int) -> dict:
     measures the host seconds of this particular execution.
     """
     graph = materialize(graph)
-    detector = factory(seed)
-    t0 = time.perf_counter()
-    result = detector.run(graph)
-    wall = time.perf_counter() - t0
+    result, wall = timed(factory(seed).run, graph)
     return {
         "wall": wall,
         "modularity": modularity(graph, result.partition),
@@ -125,51 +125,38 @@ def run_matrix(
     rows: list[ExperimentRow] = []
     by_cell = iter(outcomes)
     for graph in graph_list:
-        for name, factory in algorithms.items():
-            mods, times, ks, imbalances, overheads = [], [], [], [], []
-            walls: list[float] = []
-            loop_acc: dict[str, dict[str, list[float]]] = {}
+        for name in algorithms:
+            outs = [next(by_cell) for _ in range(runs)]
+
+            def mean(key: str) -> float:
+                return float(np.mean([out[key] for out in outs]))
+
+            per_loop: dict[str, list] = {}
             rc_acc: dict[str, int] | None = None
-            for r in range(runs):
-                out = next(by_cell)
+            for out in outs:
+                for label, tel in out["loops"].items():
+                    per_loop.setdefault(label, []).append(tel)
                 if out.get("racecheck") is not None:
                     rc_acc = rc_acc or {}
                     for k, v in out["racecheck"].items():
                         rc_acc[k] = rc_acc.get(k, 0) + int(v)
-                walls.append(out["wall"])
-                mods.append(out["modularity"])
-                times.append(out["time"])
-                ks.append(out["k"])
-                imbalances.append(out["imbalance"])
-                overheads.append(out["overhead_share"])
-                for label, tel in out["loops"].items():
-                    acc = loop_acc.setdefault(
-                        label,
-                        {
-                            "time": [],
-                            "imbalance": [],
-                            "overhead_share": [],
-                            "stale_lag_mean": [],
-                        },
-                    )
-                    acc["time"].append(tel.time)
-                    acc["imbalance"].append(tel.imbalance)
-                    acc["overhead_share"].append(tel.overhead_share)
-                    acc["stale_lag_mean"].append(tel.stale_lag_mean)
             rows.append(
                 ExperimentRow(
                     algorithm=name,
                     network=graph.name,
-                    modularity=float(np.mean(mods)),
-                    time=float(np.mean(times)),
-                    communities=float(np.mean(ks)),
+                    modularity=mean("modularity"),
+                    time=mean("time"),
+                    communities=mean("k"),
                     runs=runs,
-                    imbalance=float(np.mean(imbalances)),
-                    overhead_share=float(np.mean(overheads)),
-                    wall_time=float(np.mean(walls)),
+                    imbalance=mean("imbalance"),
+                    overhead_share=mean("overhead_share"),
+                    wall_time=mean("wall"),
                     loops={
-                        label: {k: float(np.mean(v)) for k, v in acc.items()}
-                        for label, acc in loop_acc.items()
+                        label: {
+                            f: float(np.mean([getattr(t, f) for t in tels]))
+                            for f in _LOOP_FIELDS
+                        }
+                        for label, tels in per_loop.items()
                     },
                     racecheck=rc_acc,
                 )

@@ -20,7 +20,7 @@ ground truth where it exists and modularity elsewhere."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -32,6 +32,8 @@ __all__ = [
     "pareto_frontier",
     "quality_pareto_points",
     "quality_pareto_report",
+    "validate_pareto_block",
+    "format_pareto",
 ]
 
 
@@ -155,3 +157,44 @@ def quality_pareto_report(
         ],
         "frontier": [p.algorithm for p in frontier],
     }
+
+
+def validate_pareto_block(pareto: Any) -> list[str]:
+    """Schema problems of a quality document's Pareto block (empty = valid)."""
+    if not isinstance(pareto, dict):
+        return ["quality documents need a 'pareto' block"]
+    problems: list[str] = []
+    points = pareto.get("points")
+    if not isinstance(points, list) or not points:
+        problems.append("pareto.points must be a non-empty list")
+        points = []
+    for j, point in enumerate(points):
+        if not isinstance(point.get("algorithm"), str):
+            problems.append(f"pareto.points[{j}].algorithm must be a string")
+        problems += [
+            f"pareto.points[{j}].{key} must be a number"
+            for key in ("time_score", "mod_score")
+            if not isinstance(point.get(key), (int, float))
+        ]
+    algorithms = {p.get("algorithm") for p in points}
+    frontier = pareto.get("frontier")
+    if not isinstance(frontier, list) or not frontier:
+        return problems + ["pareto.frontier must be a non-empty list"]
+    return problems + [
+        f"pareto.frontier names unknown algorithm {alg!r}"
+        for alg in frontier
+        if not isinstance(alg, str) or alg not in algorithms
+    ]
+
+
+def format_pareto(pareto: dict) -> str:
+    """Human-readable Pareto block; ``*`` marks the frontier."""
+    frontier = set(pareto["frontier"])
+    lines = [f"\nPareto condensation (baseline {pareto['baseline']}):"]
+    lines += [
+        f" {'*' if p['algorithm'] in frontier else ' '} {p['algorithm']:>12s}  "
+        f"time x{p['time_score']:.3f}  quality {p['mod_score']:+.4f}"
+        for p in pareto["points"]
+    ]
+    lines.append(f"frontier: {', '.join(pareto['frontier'])}")
+    return "\n".join(lines)

@@ -28,11 +28,11 @@ quality numbers in a committed document are exactly reproducible.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable
 
 import numpy as np
 
+from repro.bench.core import TRUTH_CATEGORIES, entry, interleave
 from repro.community import EPP, OLP, PLM, PLMR, PLP, Grappolo, ShardedPLP, SyncLouvain
 from repro.community.dplp import DynamicPLP
 from repro.graph.csr import Graph
@@ -73,11 +73,6 @@ DETECTORS: dict[str, Callable[[int, int], Any]] = {
     "Grappolo": lambda threads, seed: Grappolo(threads=threads, seed=seed),
     "SyncLouvain": lambda threads, seed: SyncLouvain(threads=threads, seed=seed),
 }
-
-#: Generator categories whose instances carry a planted ground truth —
-#: their entries score NMI/ARI in addition to modularity.
-TRUTH_CATEGORIES = ("planted", "lfr")
-
 
 def quality_graphs(
     preset: str,
@@ -140,32 +135,26 @@ def run_quality_suite(
     entries: list[dict[str, Any]] = []
     for category, size, graph, truth in quality_graphs(preset):
         for alg, build in DETECTORS.items():
-            best_wall = float("inf")
-            result = None
-            for _ in range(max(1, repeats)):
-                detector = build(threads, seed)
-                t0 = time.perf_counter()
-                result = detector.run(graph)
-                best_wall = min(best_wall, time.perf_counter() - t0)
+            run = interleave(
+                {alg: (lambda: build(threads, seed), lambda d: d.run(graph))},
+                repeats,
+            )[alg]
+            result = run.results[-1]
             labels = result.partition.labels
-            entry: dict[str, Any] = {
-                "name": f"{alg.lower()}_quality",
-                "graph": graph.name,
-                "size": size,
-                "n": int(graph.n),
-                "m": int(graph.m),
-                "repeats": int(max(1, repeats)),
-                "wall_s": float(best_wall),
-                "algorithm": alg,
-                "category": category,
-                "sim_time_s": float(result.timing.total),
-                "modularity": float(modularity(graph, labels)),
-                "communities": int(np.unique(labels).size),
-            }
+            cell = entry(
+                f"{alg.lower()}_quality",
+                graph,
+                size,
+                run.summary.n,
+                run.summary.best,
+                algorithm=alg,
+                category=category,
+                sim_time_s=float(result.timing.total),
+                modularity=float(modularity(graph, labels)),
+                communities=int(np.unique(labels).size),
+            )
             if truth is not None:
-                entry["nmi"] = float(
-                    normalized_mutual_information(labels, truth)
-                )
-                entry["ari"] = float(adjusted_rand_index(labels, truth))
-            entries.append(entry)
+                cell["nmi"] = float(normalized_mutual_information(labels, truth))
+                cell["ari"] = float(adjusted_rand_index(labels, truth))
+            entries.append(cell)
     return entries

@@ -12,7 +12,7 @@ client sees, split by where the request lands in the serving stack —
 * ``serve_concurrent`` — ``concurrency`` client threads issue warm
   requests at once (the queueing/batching path under load).
 
-Every scenario reports p50/p99 over its request stream; the document
+Every scenario reports p50/max over its request stream; the document
 carries ``cache_speedup`` (cold p50 / cache-hit p50), the number the
 acceptance gate pins (a warm cache must be >= 5x faster than a cold
 load). Entries reuse the ``repro-wallclock/v1`` schema with
@@ -31,13 +31,12 @@ import argparse
 import os
 import sys
 import tempfile
-import threading
-import time
-from typing import Any, Callable
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any
 
-import numpy as np
-
-from repro.bench.wallclock import build_document, validate_document, write_document
+from repro.bench.core import (
+    Summary, add_floor_options, entry, latency_ms, publish, timed
+)
 from repro.graph import io as graph_io
 from repro.graph.generators import planted_partition
 from repro.serve import ServeClient, serve_in_thread
@@ -64,37 +63,19 @@ _PRESETS: dict[str, dict[str, Any]] = {
 }
 
 
-def _percentiles(samples: list[float]) -> dict[str, float]:
-    arr = np.asarray(samples, dtype=np.float64)
-    return {
-        "p50_ms": round(float(np.percentile(arr, 50)) * 1e3, 3),
-        "p99_ms": round(float(np.percentile(arr, 99)) * 1e3, 3),
-        "mean_ms": round(float(arr.mean()) * 1e3, 3),
-    }
-
-
-def _entry(
-    name: str, graph, samples: list[float], **extra: Any
-) -> dict[str, Any]:
-    pct = _percentiles(samples)
-    out: dict[str, Any] = {
-        "name": name,
-        "graph": graph.name,
-        "size": f"n{graph.n}",
-        "n": int(graph.n),
-        "m": int(graph.m),
-        "repeats": len(samples),
-        "wall_s": pct["p50_ms"] / 1e3,  # p50, for baseline diffing
-        **pct,
-    }
-    out.update(extra)
-    return out
-
-
-def _timed(fn: Callable[[], Any]) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+def _entry(name: str, graph, samples: list[float], **extra: Any) -> dict:
+    """A scenario entry: ``wall_s`` is the p50, for baseline diffing."""
+    s = Summary.of(samples)
+    return entry(
+        name,
+        graph,
+        f"n{graph.n}",
+        s.n,
+        s.median,
+        **latency_ms(s),
+        mean_ms=round(s.mean * 1e3, 3),
+        **extra,
+    )
 
 
 def run_serve_suite(
@@ -121,19 +102,14 @@ def run_serve_suite(
         ) as handle:
             with ServeClient(socket_path=sock) as client:
                 # -- cold: registry reload + detection per request -------
-                cold: list[float] = []
                 for i in range(cfg["cold_requests"]):
                     client.load(f"cold{i}", npz)  # lazy; not timed
-                for i in range(cfg["cold_requests"]):
-                    # capacity=1: pinning cold{i} evicts cold{i-1}, so
-                    # every request here pays a genuine disk reload.
-                    cold.append(
-                        _timed(
-                            lambda i=i: client.detect(
-                                f"cold{i}", algorithm="plm", seed=0
-                            )
-                        )
-                    )
+                # capacity=1: pinning cold{i} evicts cold{i-1}, so every
+                # request here pays a genuine disk reload.
+                cold = [
+                    timed(lambda: client.detect(f"cold{i}", "plm", seed=0))[1]
+                    for i in range(cfg["cold_requests"])
+                ]
                 entries.append(
                     _entry("serve_cold", graph, cold, scenario="reload+detect")
                 )
@@ -142,64 +118,39 @@ def run_serve_suite(
                 client.load("hot", npz)
                 client.pin("hot")
                 client.detect("hot", algorithm="plm", seed=10_000)  # warm the pool
-                warm: list[float] = []
-                for seed in range(cfg["warm_requests"]):
-                    warm.append(
-                        _timed(
-                            lambda seed=seed: client.detect(
-                                "hot", algorithm="plm", seed=seed
-                            )
-                        )
-                    )
+                warm = [
+                    timed(lambda: client.detect("hot", "plm", seed=seed))[1]
+                    for seed in range(cfg["warm_requests"])
+                ]
                 entries.append(
                     _entry("serve_warm", graph, warm, scenario="pinned+detect")
                 )
 
                 # -- cache hit: identical request repeated ---------------
                 client.detect("hot", algorithm="plm", seed=0)  # ensure cached
-                hits: list[float] = []
-                for _ in range(cfg["hit_requests"]):
-                    hits.append(
-                        _timed(
-                            lambda: client.detect("hot", algorithm="plm", seed=0)
-                        )
-                    )
+                hits = [
+                    timed(lambda: client.detect("hot", "plm", seed=0))[1]
+                    for _ in range(cfg["hit_requests"])
+                ]
                 entries.append(
                     _entry("serve_cache_hit", graph, hits, scenario="cache only")
                 )
 
             # -- concurrent: N clients, warm requests, shared queue ------
             per_client = cfg["concurrent_requests"]
-            latencies: list[float] = []
-            errors: list[Exception] = []
-            lock = threading.Lock()
 
-            def client_worker(idx: int) -> None:
-                try:
-                    with ServeClient(socket_path=sock) as c:
-                        for r in range(per_client):
-                            seed = 1_000 + idx * per_client + r
-                            dt = _timed(
-                                lambda: c.detect("hot", algorithm="plm", seed=seed)
-                            )
-                            with lock:
-                                latencies.append(dt)
-                except Exception as exc:  # pragma: no cover - failure detail
-                    with lock:
-                        errors.append(exc)
+            def client_run(idx: int) -> list[float]:
+                seeds = range(1_000 + idx * per_client, 1_000 + (idx + 1) * per_client)
+                with ServeClient(socket_path=sock) as c:
+                    return [
+                        timed(lambda: c.detect("hot", "plm", seed=s))[1] for s in seeds
+                    ]
 
-            threads = [
-                threading.Thread(target=client_worker, args=(i,))
-                for i in range(concurrency)
-            ]
-            t0 = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            elapsed = time.perf_counter() - t0
-            if errors:
-                raise RuntimeError(f"concurrent clients failed: {errors[0]}")
+            with ThreadPoolExecutor(concurrency) as pool:
+                per, elapsed = timed(
+                    lambda: list(pool.map(client_run, range(concurrency)))
+                )
+            latencies = [dt for client in per for dt in client]
             entries.append(
                 _entry(
                     "serve_concurrent",
@@ -217,24 +168,23 @@ def run_serve_suite(
 
     by_name = {e["name"]: e for e in entries}
     speedup = round(
-        by_name["serve_cold"]["p50_ms"] / max(by_name["serve_cache_hit"]["p50_ms"], 1e-9),
+        by_name["serve_cold"]["p50_ms"]
+        / max(by_name["serve_cache_hit"]["p50_ms"], 1e-9),
         1,
     )
     for e in entries:
         e["cache_speedup"] = speedup
     entries.append(
-        {
-            "name": "serve_stats",
-            "graph": graph.name,
-            "size": f"n{graph.n}",
-            "n": int(graph.n),
-            "m": int(graph.m),
-            "repeats": 1,
-            "wall_s": 0.0,
-            "queue": server_stats["queue"],
-            "registry": server_stats["registry"],
-            "backend": server_stats["backend"],
-        }
+        entry(
+            "serve_stats",
+            graph,
+            f"n{graph.n}",
+            1,
+            0.0,
+            queue=server_stats["queue"],
+            registry=server_stats["registry"],
+            backend=server_stats["backend"],
+        )
     )
     return entries
 
@@ -250,41 +200,12 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=None, help="server pool workers"
     )
     parser.add_argument("--out", default="BENCH_serve.json")
-    parser.add_argument(
-        "--min-cache-speedup",
-        type=float,
-        default=None,
-        help="fail (exit 1) if cold p50 / cache-hit p50 falls below this",
-    )
+    add_floor_options(parser, "serve")
     args = parser.parse_args(argv)
-
     entries = run_serve_suite(
         args.preset, concurrency=args.concurrency, workers=args.workers
     )
-    doc = build_document("serve", args.preset, entries, workers=args.workers)
-    problems = validate_document(doc)
-    if problems:  # pragma: no cover - schema regression guard
-        for p in problems:
-            print(f"schema problem: {p}", file=sys.stderr)
-        return 1
-    write_document(doc, args.out)
-    for e in entries:
-        if "p50_ms" not in e:
-            continue
-        print(
-            f"{e['name']:>18s}  p50={e['p50_ms']:8.3f}ms  "
-            f"p99={e['p99_ms']:8.3f}ms  ({e['repeats']} requests)"
-        )
-    speedup = next(e["cache_speedup"] for e in entries if "cache_speedup" in e)
-    print(f"cache_speedup: {speedup}x (cold p50 / cache-hit p50)")
-    print(f"wrote {args.out}")
-    if args.min_cache_speedup is not None and speedup < args.min_cache_speedup:
-        print(
-            f"FAIL: cache_speedup {speedup}x below floor "
-            f"{args.min_cache_speedup}x"
-        )
-        return 1
-    return 0
+    return publish("serve", entries, vars(args))
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

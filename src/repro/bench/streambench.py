@@ -23,7 +23,7 @@ instances and drives timestamped edge batches through them:
   counting-sort shortcut;
 * a **planted-partition instance** under community-local churn feeds the
   incremental detectors: ``dplp_stream``/``dplm_stream`` report sustained
-  events/s and per-batch p50/p99 detect latency over the full
+  events/s and per-batch p50/max detect latency over the full
   apply → freeze → drain → update cycle, and ``dplm_incremental_ab``
   interleaves :meth:`~repro.community.dplm.DynamicPLM.update` with a
   full PLM recompute per batch, reporting the per-batch speedup and the
@@ -37,13 +37,16 @@ generators and churn are seeded and batches are materialized up front.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
-import time
+from collections import Counter
+from contextlib import nullcontext
 from typing import Any, Iterator
 
 import numpy as np
 
+from repro.bench.core import entry, interleave, latency_ms, time_best, timed
 from repro.community.dplm import DynamicPLM
 from repro.community.dplp import DynamicPLP
 from repro.community.plm import PLM
@@ -141,21 +144,15 @@ def iter_edgelist_event_batches(
     """Stream a text edge list as batches of ``add`` events.
 
     The file-backed twin of the churn generators: each whitespace line
-    ``u v [w]`` becomes one add event, parsed in bounded text blocks with
-    the same NumPy tokenizer :func:`~repro.graph.io.read_edgelist_chunked`
-    uses, re-chunked to ``batch_events`` events per yielded batch — so a
+    ``u v [w]`` becomes one add event, parsed in bounded text blocks by
+    the per-line tokenizer :func:`~repro.graph.io.read_edgelist_chunked`
+    falls back to, re-chunked to ``batch_events`` events per batch — so a
     multi-GB edge list streams through :meth:`DynamicGraph.apply_events`
     without ever materializing the full event list.
     """
-    close = False
-    if isinstance(path, (str, os.PathLike)):
-        fh = open(path, "r", encoding="ascii")
-        close = True
-    else:
-        fh = path
-    pend: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    pending = 0
-    try:
+    rest = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64))
+    is_path = isinstance(path, (str, os.PathLike))
+    with open(path, encoding="ascii") if is_path else nullcontext(path) as fh:
         for block in _iter_line_blocks(fh, block_bytes):
             rows = [
                 tokens
@@ -163,37 +160,21 @@ def iter_edgelist_event_batches(
                 for tokens in [line.split(comments, 1)[0].split()]
                 if tokens
             ]
-            if not rows:
-                continue
-            us = np.array([int(r[0]) for r in rows], np.int64)
-            vs = np.array([int(r[1]) for r in rows], np.int64)
-            ws = np.array(
-                [float(r[2]) if len(r) > 2 else 1.0 for r in rows], np.float64
+            cols = (
+                np.array([int(r[0]) for r in rows], np.int64),
+                np.array([int(r[1]) for r in rows], np.int64),
+                np.array([float(r[2]) if len(r) > 2 else 1.0 for r in rows]),
             )
-            pend.append((us, vs, ws))
-            pending += us.size
-            while pending >= batch_events:
-                us = np.concatenate([c[0] for c in pend])
-                vs = np.concatenate([c[1] for c in pend])
-                ws = np.concatenate([c[2] for c in pend])
-                yield (
-                    us[:batch_events],
-                    vs[:batch_events],
-                    ws[:batch_events],
-                    np.zeros(batch_events, np.uint8),
-                )
-                pend = [
-                    (us[batch_events:], vs[batch_events:], ws[batch_events:])
-                ]
-                pending -= batch_events
-    finally:
-        if close:
-            fh.close()
-    if pending:
-        us = np.concatenate([c[0] for c in pend])
-        vs = np.concatenate([c[1] for c in pend])
-        ws = np.concatenate([c[2] for c in pend])
-        yield us, vs, ws, np.zeros(us.size, np.uint8)
+            rest = tuple(np.concatenate(pair) for pair in zip(rest, cols))
+            while rest[0].size >= batch_events:
+                yield (*(c[:batch_events] for c in rest), _adds(batch_events))
+                rest = tuple(c[batch_events:] for c in rest)
+    if rest[0].size:
+        yield (*rest, _adds(rest[0].size))
+
+
+def _adds(size: int) -> np.ndarray:
+    return np.full(size, EVENT_ADD, np.uint8)
 
 
 def rmat_churn_batches(
@@ -211,31 +192,14 @@ def rmat_churn_batches(
     and no edge is removed twice. Batches are materialized up front and
     are deterministic given ``seed``.
     """
-    rng = np.random.default_rng(seed)
-    us0, vs0, _ = graph.edge_array()
-    alive = np.ones(us0.size, dtype=bool)
-    out: list[EventColumns] = []
-    for _ in range(batches):
-        n_add = int(batch_events * add_fraction)
-        n_rem = batch_events - n_add
-        ei = rng.integers(0, us0.size, size=n_add)
-        ej = rng.integers(0, us0.size, size=n_add)
-        au, av = us0[ei], vs0[ej]
+
+    def draw_adds(rng, n_add, us0, vs0):
+        au = us0[rng.integers(0, us0.size, size=n_add)]
+        av = vs0[rng.integers(0, us0.size, size=n_add)]
         keep = au != av
-        au, av = au[keep], av[keep]
-        cand = np.flatnonzero(alive)
-        pick = rng.choice(cand, size=min(n_rem, cand.size), replace=False)
-        alive[pick] = False
-        us = np.concatenate([au, us0[pick]])
-        vs = np.concatenate([av, vs0[pick]])
-        kinds = np.concatenate(
-            [
-                np.full(au.size, EVENT_ADD, np.uint8),
-                np.full(pick.size, EVENT_REMOVE, np.uint8),
-            ]
-        )
-        out.append((us, vs, np.ones(us.size, np.float64), kinds))
-    return out
+        return au[keep], av[keep], np.ones(int(keep.sum()))
+
+    return _churn(graph, batches, batch_events, seed, add_fraction, draw_adds, 1.0)
 
 
 def uniform_churn_batches(
@@ -261,31 +225,48 @@ def uniform_churn_batches(
     the cost a weighted stream actually pays. Deterministic given
     ``seed``.
     """
+
+    def draw_adds(rng, n_add, us0, vs0):
+        au = rng.integers(0, graph.n, size=n_add)
+        av = rng.integers(0, graph.n, size=n_add)
+        keep = au != av
+        return au[keep], av[keep], rng.uniform(0.5, 1.5, size=int(keep.sum()))
+
+    return _churn(graph, batches, batch_events, seed, add_fraction, draw_adds, 0.0)
+
+
+def _churn(
+    graph: Graph,
+    batches: int,
+    batch_events: int,
+    seed: int,
+    add_fraction: float,
+    draw_adds,
+    removed_weight: float,
+) -> list[EventColumns]:
+    """Batches of ``draw_adds(rng, n_add, us0, vs0)`` adds ``(us, vs, ws)``
+    followed by removals of distinct still-alive original edges."""
     rng = np.random.default_rng(seed)
     us0, vs0, _ = graph.edge_array()
     alive = np.ones(us0.size, dtype=bool)
     out: list[EventColumns] = []
     for _ in range(batches):
         n_add = int(batch_events * add_fraction)
-        n_rem = batch_events - n_add
-        au = rng.integers(0, graph.n, size=n_add)
-        av = rng.integers(0, graph.n, size=n_add)
-        keep = au != av
-        au, av = au[keep], av[keep]
-        aw = rng.uniform(0.5, 1.5, size=au.size)
+        au, av, aw = draw_adds(rng, n_add, us0, vs0)
         cand = np.flatnonzero(alive)
-        pick = rng.choice(cand, size=min(n_rem, cand.size), replace=False)
+        n_rem = min(batch_events - n_add, cand.size)
+        pick = rng.choice(cand, size=n_rem, replace=False)
         alive[pick] = False
-        us = np.concatenate([au, us0[pick]])
-        vs = np.concatenate([av, vs0[pick]])
-        ws = np.concatenate([aw, np.zeros(pick.size)])
-        kinds = np.concatenate(
-            [
-                np.full(au.size, EVENT_ADD, np.uint8),
-                np.full(pick.size, EVENT_REMOVE, np.uint8),
-            ]
+        out.append(
+            (
+                np.concatenate([au, us0[pick]]),
+                np.concatenate([av, vs0[pick]]),
+                np.concatenate([aw, np.full(pick.size, removed_weight)]),
+                np.concatenate(
+                    [_adds(au.size), np.full(pick.size, EVENT_REMOVE, np.uint8)]
+                ),
+            )
         )
-        out.append((us, vs, ws, kinds))
     return out
 
 
@@ -343,33 +324,13 @@ def planted_churn_batches(
 # ----------------------------------------------------------------------
 # Suite entries
 # ----------------------------------------------------------------------
-def _entry(
-    name: str, graph: Graph, size: str, repeats: int, wall_s: float, **extra
-) -> dict[str, Any]:
-    """Benchmark record in the wallclock entry schema."""
-    out: dict[str, Any] = {
-        "name": name,
-        "graph": graph.name,
-        "size": size,
-        "n": int(graph.n),
-        "m": int(graph.m),
-        "repeats": int(repeats),
-        "wall_s": float(wall_s),
-    }
-    out.update(extra)
-    return out
-
-
-def _graphs_identical(a: Graph, b: Graph) -> bool:
-    """Byte-identity of two CSR graphs (dtypes and values)."""
-    return (
-        a.indptr.dtype == b.indptr.dtype
-        and a.indices.dtype == b.indices.dtype
-        and a.weights.dtype == b.weights.dtype
-        and np.array_equal(a.indptr, b.indptr)
-        and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.weights, b.weights)
-    )
+def _graph_digest(graph: Graph) -> bytes:
+    """Digest of a CSR graph's arrays, dtypes included."""
+    h = hashlib.sha256()
+    for arr in (graph.indptr, graph.indices, graph.weights):
+        h.update(arr.dtype.str.encode())
+        h.update(np.ascontiguousarray(arr))
+    return h.digest()
 
 
 def _apply_events_entry(
@@ -383,8 +344,8 @@ def _apply_events_entry(
         for us, vs, ws, kinds in batches:
             dyn.apply_events(us, vs, ws, kinds)
 
-    best = _time_best(run, repeats)
-    return _entry(
+    best = time_best(run, repeats).best
+    return entry(
         "dyn_apply_events",
         graph,
         size,
@@ -406,25 +367,30 @@ def _freeze_ab_entry(
     and the resulting graphs are checked byte-identical every round.
     """
     us, vs, ws, kinds = batch
-    delta_best = float("inf")
-    full_best = float("inf")
-    identical = True
     stats: dict[str, Any] = {}
-    for _ in range(max(1, repeats)):
-        dyn = DynamicGraph.from_graph(graph)
+
+    def pending(**options: float) -> DynamicGraph:
+        dyn = DynamicGraph.from_graph(graph, **options)
         dyn.apply_events(us, vs, ws, kinds)
-        t0 = time.perf_counter()
-        g_delta = dyn.freeze()
-        delta_best = min(delta_best, time.perf_counter() - t0)
-        stats = dict(dyn.last_freeze or {})
-        dyn = DynamicGraph.from_graph(graph)
-        dyn.delta_threshold = -1.0  # force the full-rebuild path
-        dyn.apply_events(us, vs, ws, kinds)
-        t0 = time.perf_counter()
-        g_full = dyn.freeze()
-        full_best = min(full_best, time.perf_counter() - t0)
-        identical = identical and _graphs_identical(g_delta, g_full)
-    return _entry(
+        return dyn
+
+    def delta_freeze(dyn: DynamicGraph) -> Graph:
+        snap = dyn.freeze()
+        stats.update(dyn.last_freeze or {})
+        return snap
+
+    ab = interleave(
+        {
+            "delta": (pending, delta_freeze),
+            # delta_threshold -1 forces the full-rebuild path
+            "full": (lambda: pending(delta_threshold=-1.0), DynamicGraph.freeze),
+        },
+        repeats,
+        keep=_graph_digest,
+    )
+    delta_best = ab["delta"].summary.best
+    full_best = ab["full"].summary.best
+    return entry(
         "freeze_delta_ab",
         graph,
         size,
@@ -435,7 +401,7 @@ def _freeze_ab_entry(
         dirty_rows=int(stats.get("dirty_rows", 0)),
         dirty_fraction=float(stats.get("dirty_fraction", 0.0)),
         events=int(us.size),
-        identical=bool(identical),
+        identical=len({d for arm in ab.values() for d in arm.results}) == 1,
     )
 
 
@@ -463,21 +429,24 @@ def _edgelist_ingest_entry(
             for u, v in adds:
                 np.savetxt(fh, np.column_stack([u, v]), fmt="%d")
         dyn = DynamicGraph.from_graph(graph)
-        t0 = time.perf_counter()
-        applied = 0
-        for us, vs, ws, kinds in iter_edgelist_event_batches(
-            path, batch_events=batch_events
-        ):
-            dyn.apply_events(us, vs, ws, kinds)
-            applied += int(us.size)
-        wall = time.perf_counter() - t0
+
+        def replay() -> int:
+            applied = 0
+            for us, vs, ws, kinds in iter_edgelist_event_batches(
+                path, batch_events=batch_events
+            ):
+                dyn.apply_events(us, vs, ws, kinds)
+                applied += int(us.size)
+            return applied
+
+        applied, wall = timed(replay)
     finally:
         os.unlink(path)
     if applied != total:
         raise AssertionError(
             f"edgelist stream dropped events ({applied} != {total})"
         )
-    return _entry(
+    return entry(
         "edgelist_ingest_stream",
         graph,
         size,
@@ -498,28 +467,25 @@ def _detector_stream_entry(
     """``dplp_stream``/``dplm_stream``: sustained detect-refresh loop.
 
     Per batch the timed cycle is apply → freeze → drain → ``update``;
-    the entry reports sustained events/s plus p50/p99 per-batch latency.
+    the entry reports sustained events/s plus p50/max per-batch latency.
     The initial full run is reported separately (``cold_run_s``).
     """
     dyn = DynamicGraph.from_graph(graph)
-    t0 = time.perf_counter()
-    detector.run(graph)
-    cold = time.perf_counter() - t0
-    lat: list[float] = []
-    total = 0
-    modes: dict[str, int] = {}
-    for us, vs, ws, kinds in batches:
-        t0 = time.perf_counter()
-        dyn.apply_events(us, vs, ws, kinds)
+    _, cold = timed(detector.run, graph)
+
+    def cycle(batch: EventColumns) -> tuple[int, str]:
+        dyn.apply_events(*batch)
         snap = dyn.freeze()
         events = dyn.drain_events()
         result = detector.update(snap, events)
-        lat.append(time.perf_counter() - t0)
-        total += len(events)
-        mode = result.info.get("mode", "incremental")
-        modes[mode] = modes.get(mode, 0) + 1
-    wall = float(sum(lat))
-    return _entry(
+        return len(events), result.info.get("mode", "incremental")
+
+    it = iter(batches)
+    run = interleave({name: (lambda: next(it), cycle)}, len(batches))[name]
+    total = sum(count for count, _ in run.results)
+    modes = dict(Counter(mode for _, mode in run.results))
+    wall = float(sum(run.summary.samples))
+    return entry(
         name,
         graph,
         size,
@@ -528,8 +494,7 @@ def _detector_stream_entry(
         events=total,
         batches=len(batches),
         events_per_s=total / wall if wall > 0 else 0.0,
-        p50_ms=float(np.percentile(lat, 50) * 1e3),
-        p99_ms=float(np.percentile(lat, 99) * 1e3),
+        **latency_ms(run.summary),
         cold_run_s=cold,
         update_modes=modes,
     )
@@ -555,30 +520,30 @@ def _dplm_ab_entry(
     full = PLM(threads=threads, seed=seed, kernel_backend=kernel_backend)
     dyn = DynamicGraph.from_graph(graph)
     dplm.run(graph)
-    inc_walls: list[float] = []
-    full_walls: list[float] = []
-    nmis: list[float] = []
-    incremental = 0
-    for us, vs, ws, kinds in batches:
-        dyn.apply_events(us, vs, ws, kinds)
-        snap = dyn.freeze(name=graph.name)
-        events = dyn.drain_events()
-        t0 = time.perf_counter()
-        inc = dplm.update(snap, events)
-        inc_walls.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        scratch = full.run(snap)
-        full_walls.append(time.perf_counter() - t0)
-        nmis.append(
-            float(normalized_mutual_information(inc.labels, scratch.labels))
-        )
-        if inc.info.get("mode") == "incremental":
-            incremental += 1
-    inc_mean = float(np.mean(inc_walls))
-    full_mean = float(np.mean(full_walls))
-    return _entry(
+    it = iter(batches)
+    latest: dict[str, Graph] = {}
+
+    def next_snapshot() -> tuple[Graph, list]:
+        dyn.apply_events(*next(it))
+        latest["snap"] = dyn.freeze(name=graph.name)
+        return latest["snap"], dyn.drain_events()
+
+    ab = interleave(
+        {
+            "incremental": (next_snapshot, lambda se: dplm.update(*se)),
+            "full": (lambda: latest["snap"], full.run),
+        },
+        len(batches),
+    )
+    inc, scratch = ab["incremental"], ab["full"]
+    nmis = [
+        float(normalized_mutual_information(a.labels, b.labels))
+        for a, b in zip(inc.results, scratch.results)
+    ]
+    inc_mean, full_mean = inc.summary.mean, scratch.summary.mean
+    return entry(
         "dplm_incremental_ab",
-        snap,
+        latest["snap"],
         size,
         1,
         inc_mean,
@@ -587,20 +552,10 @@ def _dplm_ab_entry(
         nmi_min=float(min(nmis)),
         nmi_mean=float(np.mean(nmis)),
         batches=len(batches),
-        incremental_batches=incremental,
+        incremental_batches=sum(
+            r.info.get("mode") == "incremental" for r in inc.results
+        ),
     )
-
-
-def _time_best(fn, repeats: int, warmup: int = 1) -> float:
-    """Best-of-``repeats`` wall time of ``fn`` (after ``warmup`` calls)."""
-    for _ in range(warmup):
-        fn()
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 # ----------------------------------------------------------------------
@@ -625,90 +580,45 @@ def run_stream_suite(
             f"unknown stream preset {preset!r} (use {sorted(STREAM_PRESETS)})"
         )
     cfg = STREAM_PRESETS[preset]
-    entries: list[dict[str, Any]] = []
-
+    gen_seed, churn_seed = cfg["gen_seed"], cfg["churn_seed"]
+    events, size = cfg["freeze_batch_events"], cfg["size_rmat"]
     g = rmat(
-        cfg["rmat_scale"],
-        cfg["rmat_edge_factor"],
-        seed=cfg["gen_seed"],
+        cfg["rmat_scale"], cfg["rmat_edge_factor"], seed=gen_seed,
         name=f"rmat_{cfg['rmat_scale']}",
     )
-    apply_batches = rmat_churn_batches(
-        g, cfg["apply_batches"], cfg["freeze_batch_events"], seed=cfg["churn_seed"]
-    )
-    entries.append(
-        _apply_events_entry(g, apply_batches, cfg["size_rmat"], repeats)
-    )
-    f = cfg["freeze"]
+    apply_batches = rmat_churn_batches(g, cfg["apply_batches"], events, churn_seed)
+    entries = [_apply_events_entry(g, apply_batches, size, repeats)]
     fg, _ = planted_partition(
-        f["n"],
-        f["k"],
-        f["p_in"],
-        f["p_out"],
-        seed=cfg["gen_seed"],
-        name=f"uniform_{f['n']}",
+        **cfg["freeze"], seed=gen_seed, name=f"uniform_{cfg['freeze']['n']}"
     )
-    freeze_batch = uniform_churn_batches(
-        fg, 1, cfg["freeze_batch_events"], seed=cfg["churn_seed"]
-    )[0]
-    entries.append(
-        _freeze_ab_entry(fg, freeze_batch, cfg["size_freeze"], repeats)
-    )
-    entries.append(
-        _edgelist_ingest_entry(
-            g, apply_batches, cfg["size_rmat"], cfg["freeze_batch_events"]
-        )
-    )
+    freeze_batch = uniform_churn_batches(fg, 1, events, seed=churn_seed)[0]
+    entries.append(_freeze_ab_entry(fg, freeze_batch, cfg["size_freeze"], repeats))
+    entries.append(_edgelist_ingest_entry(g, apply_batches, size, events))
 
-    p = cfg["planted"]
     pg, truth = planted_partition(
-        p["n"],
-        p["k"],
-        p["p_in"],
-        p["p_out"],
-        seed=cfg["gen_seed"],
-        name=f"planted_{p['n']}",
+        **cfg["planted"], seed=gen_seed, name=f"planted_{cfg['planted']['n']}"
     )
 
-    def churn() -> list[EventColumns]:
+    def churn(batches: int, seed: int) -> list[EventColumns]:
         return planted_churn_batches(
-            pg,
-            truth,
-            cfg["stream_batches"],
-            cfg["batch_events"],
-            churn_communities=cfg["churn_communities"],
-            seed=cfg["churn_seed"],
+            pg, truth, batches, cfg["batch_events"],
+            churn_communities=cfg["churn_communities"], seed=seed,
         )
 
-    entries.append(
-        _detector_stream_entry(
-            "dplp_stream",
-            DynamicPLP(threads=threads, seed=seed, kernel_backend=kernel_backend),
-            pg,
-            churn(),
-            cfg["size_planted"],
+    size = cfg["size_planted"]
+    for name, detector in (("dplp_stream", DynamicPLP), ("dplm_stream", DynamicPLM)):
+        entries.append(
+            _detector_stream_entry(
+                name,
+                detector(threads=threads, seed=seed, kernel_backend=kernel_backend),
+                pg,
+                churn(cfg["stream_batches"], churn_seed),
+                size,
+            )
         )
-    )
+    ab_batches = churn(cfg["ab_batches"], churn_seed + 1)
     entries.append(
-        _detector_stream_entry(
-            "dplm_stream",
-            DynamicPLM(threads=threads, seed=seed, kernel_backend=kernel_backend),
-            pg,
-            churn(),
-            cfg["size_planted"],
-        )
+        _dplm_ab_entry(pg, ab_batches, size, threads, seed, kernel_backend)
     )
-    ab_batches = planted_churn_batches(
-        pg,
-        truth,
-        cfg["ab_batches"],
-        cfg["batch_events"],
-        churn_communities=cfg["churn_communities"],
-        seed=cfg["churn_seed"] + 1,
-    )
-    entries.append(
-        _dplm_ab_entry(
-            pg, ab_batches, cfg["size_planted"], threads, seed, kernel_backend
-        )
-    )
+    return entries
     return entries

@@ -35,11 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.community._kernels import (
-    kernel_module,
-    neighborhood_cache,
-    seg_bounds,
-)
+from repro.community._kernels import kernel_module, neighborhood_cache
 from repro.community.backends import (
     resolve_kernel_backend,
     validate_kernel_backend,
@@ -234,7 +230,7 @@ class PLM(CommunityDetector):
             (np.iinfo(np.int64).max // max(1, n * n)) if fused_ok else 0
         )
 
-        def decide(nodes, seg, nbrs, ws, cur=None, vol_u=None, keys=None, base=0):
+        def decide(nodes, seg, nbrs, ws, cur, vol_u, keys=None, base=0):
             """Fused move decision for ``nodes`` against the *current*
             shared state.
 
@@ -247,18 +243,14 @@ class PLM(CommunityDetector):
             :func:`~repro.community._kernels.group_from_gather` +
             ``argmax_per_segment`` composition.
 
-            ``cur``/``vol_u``/``keys`` accept per-sweep precomputed views
-            (a node's label cannot change before its own block runs, so
-            the sweep-start slice *is* the live value); ``keys`` carries
+            ``cur``/``vol_u`` are per-sweep precomputed views (a node's
+            label cannot change before its own block runs, so the
+            sweep-start slice *is* the live value); ``keys`` carries
             the global fused key ``seg_global * width + labs`` whose
             constant per-block shift ``base * width`` does not change the
             stable sort order, and ``base`` shifts group segments back to
             block-local positions.
             """
-            if cur is None:
-                cur = labels[nodes]
-            if vol_u is None:
-                vol_u = volumes[nodes]
             if keys is not None:
                 keys = keys + labels[nbrs]
                 m_rows = keys.size
@@ -277,19 +269,6 @@ class PLM(CommunityDetector):
                 gseg, glab = np.divmod(gkeys, width)
                 if base:
                     gseg -= base
-            elif fused_ok:
-                # Stable sort of the fused (segment, label) key == stable
-                # lexsort((labs, seg)); labels are node ids < n.
-                labs = labels[nbrs]
-                keys = seg * width + labs
-                order_k = keys.argsort(kind="stable")
-                keys_s = keys[order_k]
-                boundary = np.empty(keys_s.size, dtype=bool)
-                boundary[0] = True
-                np.not_equal(keys_s[1:], keys_s[:-1], out=boundary[1:])
-                starts = boundary.nonzero()[0]
-                gkeys = keys_s[starts]
-                gseg, glab = np.divmod(gkeys, width)
             else:  # int64 overflow guard (n > ~3e9 only)
                 labs = labels[nbrs]
                 order_k = np.lexsort((labs, seg))
@@ -417,10 +396,8 @@ class PLM(CommunityDetector):
             ``labels_ord``/``vol_ord`` are sweep-start per-position views;
             a node's label/volume cannot change before its own block runs,
             so basic slices of them are bit-identical to the fancy gathers
-            ``labels[chunk]``/``volumes[chunk]`` the generic path does.
+            ``labels[chunk]``/``volumes[chunk]``.
             """
-            order_arr = plan.order
-            ostrides = order_arr.strides
             inv = plan._inv
             bounds = plan.bounds
             nbrs_all = plan.nbrs
@@ -429,30 +406,8 @@ class PLM(CommunityDetector):
                 s_move, s_lab, s_vol, s_nbr_labs = spec
 
             def kernel(chunk: np.ndarray):
-                if not (
-                    chunk.base is order_arr
-                    and chunk.strides == ostrides
-                    and chunk.size
-                ):
-                    # Not an executor slice of the planned order.
-                    seg, nbrs, ws = cache.gather(chunk)
-                    if seg.size == 0:
-                        return None
-                    if knb is not None:
-                        decision = decide_compiled(
-                            labels[chunk],
-                            volumes[chunk],
-                            seg_bounds(seg, chunk.size),
-                            0,
-                            nbrs,
-                            ws,
-                        )
-                    else:
-                        decision = decide(chunk, seg, nbrs, ws)
-                    if decision is None:
-                        return None
-                    pos, src, dst, vol = decision
-                    return chunk[pos], src, dst, vol
+                # ``parallel_for`` hands out non-empty contiguous slices
+                # of ``order``, so a block is ``order[lo:hi]``.
                 lo = inv[chunk[0]]
                 hi = lo + chunk.size
                 sl = slice(bounds[lo], bounds[hi])

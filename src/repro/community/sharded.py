@@ -74,6 +74,8 @@ from repro.parallel.backend import (
     _close_segments,
     attach_graph_uncached,
     default_workers,
+    peak_rss_mb,
+    reset_peak_rss,
     resolve_backend,
     shm_degradation,
 )
@@ -94,27 +96,6 @@ _EMPTY = np.empty(0, dtype=np.int64)
 # ----------------------------------------------------------------------
 # Worker-side helpers (module-level: picklable, pool-importable)
 # ----------------------------------------------------------------------
-def _reset_self_peak() -> None:
-    """Reset this process's VmHWM to its current RSS (Linux; best effort)."""
-    try:
-        with open("/proc/self/clear_refs", "w") as fh:
-            fh.write("5")
-    except OSError:  # pragma: no cover - non-Linux
-        pass
-
-
-def _read_self_peak_mb() -> float | None:
-    """This process's VmHWM in MB (None when /proc is unavailable)."""
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return float(line.split()[1]) / 1024.0
-    except OSError:  # pragma: no cover - non-Linux
-        pass
-    return None
-
-
 #: One-slot shard attachment cache, per worker process: a worker serving
 #: round tasks holds the pages of at most ONE shard — re-dispatch to the
 #: same shard is free, switching shards evicts (munmaps) the old one.
@@ -319,7 +300,7 @@ def _round_task(
     The shard CSR stays in the one-slot cache for the next round; the
     (tiny) state attachment is opened and closed per task.
     """
-    _reset_self_peak()
+    reset_peak_rss()
     if fail:
         raise RuntimeError("injected shard-worker failure (debug hook)")
     graph, to_global = _attach_shard(graph_handle, aux_handle)
@@ -338,7 +319,7 @@ def _round_task(
     )
     state = None  # drop the views before close() so the pages unmap
     state_handle.close()
-    return out + (sub, _read_self_peak_mb())
+    return out + (sub, peak_rss_mb())
 
 
 # ----------------------------------------------------------------------

@@ -67,6 +67,8 @@ __all__ = [
     "materialize",
     "attach_graph_uncached",
     "shutdown_all",
+    "reset_peak_rss",
+    "peak_rss_mb",
 ]
 
 #: Environment variable that sets the default worker count (CI uses it to
@@ -76,6 +78,32 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: Set in pool workers so nested ``resolve_backend`` calls stay serial
 #: (a worker spawning its own pool would oversubscribe and can deadlock).
 _IN_WORKER_ENV = "_REPRO_POOL_WORKER"
+
+
+def reset_peak_rss(pid: "int | str" = "self") -> None:
+    """Reset a process's peak RSS (VmHWM) to its current RSS.
+
+    Linux only (a no-op elsewhere). Works on same-uid children too, which
+    is how a pool's workers are reset before a measured run.
+    """
+    try:
+        with open(f"/proc/{pid}/clear_refs", "w") as fh:
+            fh.write("5")
+    except OSError:  # pragma: no cover - non-Linux
+        pass
+
+
+def peak_rss_mb(pid: "int | str" = "self") -> float | None:
+    """A process's peak RSS (VmHWM) in MiB since the last reset, unrounded
+    (None when /proc is unavailable)."""
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:  # pragma: no cover - non-Linux
+        pass
+    return None
 
 
 # ----------------------------------------------------------------------

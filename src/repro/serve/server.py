@@ -333,15 +333,24 @@ class ServerHandle:
         return self.server.address
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Stop the server and join its thread (idempotent)."""
+        """Stop the server and join its thread (idempotent).
+
+        After a client ``shutdown`` op the loop may already have exited;
+        then there is nothing to schedule, only the thread to join. The
+        thread ends once ``server.stop()`` completes, so joining it is
+        the wait either way; a thread still alive after ``timeout``
+        raises :class:`TimeoutError`.
+        """
         if self._thread is None:
             return
-        future = asyncio.run_coroutine_threadsafe(self.server.stop(), self._loop)
-        try:
-            future.result(timeout)
-        except Exception:
-            pass
+        if self._thread.is_alive() and not self._loop.is_closed():
+            try:
+                asyncio.run_coroutine_threadsafe(self.server.stop(), self._loop)
+            except RuntimeError:  # the loop closed in between
+                pass
         self._thread.join(timeout)
+        if self._thread.is_alive():
+            raise TimeoutError(f"server thread still running after {timeout}s")
         self._thread = None
 
     def __enter__(self) -> "ServerHandle":

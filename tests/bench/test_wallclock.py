@@ -82,7 +82,7 @@ def test_scale_kind_valid():
 
 
 def test_serve_kind_valid():
-    e = entry(name="serve_cold", p50_ms=12.0, p99_ms=20.0, cache_speedup=100.0)
+    e = entry(name="serve_cold", p50_ms=12.0, max_ms=20.0, cache_speedup=100.0)
     assert validate_document(build_document("serve", "smoke", [e])) == []
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import glob
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -160,7 +161,9 @@ def test_shutdown_op_stops_server_and_releases_shm(tmp_path, graph):
     with ServeClient(socket_path=sock) as client:
         client.detect("g", algorithm="plp", seed=0)
         assert client.shutdown()["stopping"] is True
+    t0 = time.monotonic()
     handle.stop()  # idempotent join
+    assert time.monotonic() - t0 < 5.0  # no wait on an exited loop
     assert not os.path.exists(sock)  # socket unlinked
     leaked = set(glob.glob("/dev/shm/*")) - before
     assert not leaked, f"leaked shm segments: {leaked}"
