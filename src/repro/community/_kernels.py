@@ -1,10 +1,34 @@
-"""Vectorized per-chunk kernels shared by the local-move algorithms.
+"""The local-move decision core shared by every detector.
 
-PLP's dominant-label selection and PLM's best-move selection both reduce a
-chunk of nodes' neighborhoods grouped by the neighbors' community labels.
-These helpers implement that as sort + segmented reduction over the CSR
-arrays, the NumPy idiom for a group-by, so the Python-level cost per chunk
-is O(1) calls rather than a per-node loop.
+Label propagation (paper §III-A) and the Louvain family (§III-B) decide
+a node's move from its neighborhood grouped by the neighbors' community
+labels. This module is the only place that knows how such a decision is
+made; the detectors bind their own state and call four rules:
+
+* **group-by** — :func:`group_from_gather` aggregates gathered
+  ``(segment, neighbor label, weight)`` rows into one row per
+  (segment, label), sorted by segment then label;
+* **segmented argmax** — :func:`segment_argmax` picks one maximal row
+  per segment. ``tie="last"`` takes the largest label among bit-equal
+  maxima (PLP, PLM); ``tie="first"`` takes the smallest (SyncLouvain,
+  Grappolo and sequential Louvain, the Lu/Halappanavar convergence
+  heuristic);
+* **Δmod gain** — :func:`best_moves` scores every group row with the
+  paper's closed form and returns each node's best strictly positive
+  move (``tie`` as above; PLM ``"last"``, the others ``"first"``)::
+
+      delta = (w(u,D) - w(u,C\\u)) / w(E)
+            + gamma * vol(u) * (vol(C\\u) - vol(D)) / (2 w(E)^2)
+
+* **PLP vote** — :func:`plp_vote` is the jittered dominant-label rule
+  (:func:`_hash_jitter` noise, ``tie="last"`` among bit-equal jittered
+  scores, strict improvement over staying); :func:`compiled_plp_vote`
+  binds the same rule's compiled twin, ``plp_block``.
+
+Grappolo and SyncLouvain also share their barrier commit,
+:func:`transfer_volumes`. The compiled twins of the vote and the PLM
+decision live in :mod:`repro.community._kernels_numba` and are
+byte-identical to these.
 
 Wall-clock engineering (the simulated cost model is untouched):
 
@@ -16,11 +40,10 @@ Wall-clock engineering (the simulated cost model is untouched):
   *slice* the flat arrays (O(1) NumPy calls per block) rather than
   rebuilding repeat/cumsum index arithmetic per chunk — the
   avoidable-recomputation trap the BigClam engineering study calls out.
-* The (segment, label) group-by sorts one fused int64 key with a single
-  stable ``np.argsort`` instead of a two-key ``np.lexsort``, with an
-  explicit overflow check that falls back to ``np.lexsort``. The fused
-  sort is order-identical to the lexsort (both stable on the same key
-  pair), so aggregation results are bit-for-bit unchanged.
+* The (segment, label) group-by sorts one fused int64 key instead of a
+  two-key ``np.lexsort``, with an explicit overflow check that falls
+  back to ``np.lexsort``. Every sort path yields the stable order of the
+  same key pair, so aggregation results are bit-for-bit unchanged.
 """
 
 from __future__ import annotations
@@ -39,7 +62,11 @@ __all__ = [
     "LabelGroups",
     "group_label_weights",
     "group_from_gather",
-    "seg_bounds",
+    "segment_argmax",
+    "best_moves",
+    "transfer_volumes",
+    "plp_vote",
+    "compiled_plp_vote",
     "kernel_module",
 ]
 
@@ -147,13 +174,6 @@ class SweepPlan:
             return self._inv[chunk[0]]
         return -1
 
-    def block_at(
-        self, lo: int, size: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Neighborhood views for ``order[lo:lo+size]``, ``seg`` local."""
-        sl = slice(self.bounds[lo], self.bounds[lo + size])
-        return self.seg[sl] - lo, self.nbrs[sl], self.ws[sl]
-
     def block(
         self, chunk: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,8 +187,28 @@ class SweepPlan:
             return _EMPTY_I, _EMPTY_I, _EMPTY_F
         lo = self.offset(chunk)
         if lo >= 0:
-            return self.block_at(lo, chunk.size)
+            sl = slice(self.bounds[lo], self.bounds[lo + chunk.size])
+            return self.seg[sl] - lo, self.nbrs[sl], self.ws[sl]
         return self._cache.gather(chunk)
+
+    def csr_block(
+        self, chunk: np.ndarray
+    ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+        """``(bounds, lo, nbrs, ws)``: ``chunk``'s neighborhoods as the
+        compiled kernels address them, position ``i`` at
+        ``nbrs[bounds[lo + i]:bounds[lo + i + 1]]``.
+
+        A slice of the planned order gets the plan's own flat arrays
+        (views — no per-block copies, no dtype conversion); any other
+        chunk a fresh gather with its own bounds from ``lo = 0``.
+        """
+        lo = self.offset(chunk)
+        if lo >= 0:
+            return self.bounds, lo, self.nbrs, self.ws
+        seg, nbrs, ws = self._cache.gather(chunk)
+        bounds = np.zeros(chunk.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(seg, minlength=chunk.size), out=bounds[1:])
+        return bounds, 0, nbrs, ws
 
 
 def neighborhood_cache(graph: Graph) -> NeighborhoodCache:
@@ -203,17 +243,15 @@ class LabelGroups(NamedTuple):
     ``gseg[i]``, the total edge weight to neighbors labelled ``glab[i]`` is
     ``gw[i]``. Rows are sorted by ``(gseg, glab)``.
 
-    ``keys``/``width`` carry the fused sort key (``gseg * width + glab``)
-    when the fused group-by path produced the rows, letting
-    :meth:`weight_to_label` reuse the sorted keys instead of rebuilding
-    them; they are ``None`` on the lexsort fallback path.
+    ``keys`` carries the fused sort key (``seg * width + glab``, before
+    any ``base`` shift) when the fused group-by path produced the rows;
+    it is ``None`` on the lexsort fallback path.
     """
 
     gseg: np.ndarray
     glab: np.ndarray
     gw: np.ndarray
     keys: np.ndarray | None = None
-    width: int = 0
 
     def weight_to_label(self, chunk_size: int, current: np.ndarray) -> np.ndarray:
         """Per chunk position, the weight to ``current[pos]`` (0 if none).
@@ -230,24 +268,16 @@ class LabelGroups(NamedTuple):
         out[self.gseg[rows]] = self.gw[rows]
         return out
 
-    def rows_at_current(self, current: np.ndarray) -> np.ndarray:
-        """Boolean row mask: group rows whose label is the segment's current.
-
-        ``current`` is indexed positionally (``current[gseg]``); callers
-        that need both the weight-to-current vector and the set of
-        self-candidate rows compute this mask once.
-        """
-        if self.gseg.size == 0:
-            return np.zeros(0, dtype=bool)
-        return self.glab == current[self.gseg]
-
     def argmax_per_segment(
-        self, chunk_size: int, score: np.ndarray | None = None
+        self,
+        chunk_size: int,
+        score: np.ndarray | None = None,
+        tie: str = "last",
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per chunk position: (has_group, best_label, best_score).
 
-        ``score`` defaults to the group weights ``gw``. Ties break toward
-        the larger label (deterministic).
+        ``score`` defaults to the group weights ``gw``; ``tie`` is
+        :func:`segment_argmax`'s (``"last"``: the larger label wins).
         """
         has = np.zeros(chunk_size, dtype=bool)
         best_lab = np.zeros(chunk_size, dtype=np.int64)
@@ -255,95 +285,273 @@ class LabelGroups(NamedTuple):
         if self.gseg.size == 0:
             return has, best_lab, best_score
         s = self.gw if score is None else np.asarray(score, dtype=np.float64)
-        gseg = self.gseg
-        # Rows are sorted by (gseg, glab): each segment is one contiguous
-        # run. A segmented max (np.maximum.reduceat) plus "last row equal
-        # to its run's max" replaces the lexsort — np.maximum returns one
-        # of its operands bit-for-bit, so the equality test is exact, and
-        # taking the *last* qualifying row of a run tie-breaks toward the
-        # larger label (rows are label-ascending within a run).
-        run_start = np.empty(gseg.size, dtype=bool)
-        run_start[0] = True
-        np.not_equal(gseg[1:], gseg[:-1], out=run_start[1:])
-        starts = np.flatnonzero(run_start)
-        run_max = np.maximum.reduceat(s, starts)
-        run_idx = np.cumsum(run_start) - 1
-        at_max = np.flatnonzero(s == run_max[run_idx])
-        seg_at = gseg[at_max]
-        is_last = np.empty(seg_at.size, dtype=bool)
-        is_last[-1] = True
-        np.not_equal(seg_at[1:], seg_at[:-1], out=is_last[:-1])
-        rows = at_max[is_last]
-        segs = gseg[rows]
+        rows = segment_argmax(self.gseg, s, tie)
+        segs = self.gseg[rows]
         has[segs] = True
         best_lab[segs] = self.glab[rows]
         best_score[segs] = s[rows]
         return has, best_lab, best_score
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Boolean flags marking the first row of each run of equal values
+    in the non-empty array ``a``."""
+    flags = np.empty(a.size, dtype=bool)
+    flags[0] = True
+    np.not_equal(a[1:], a[:-1], out=flags[1:])
+    return flags
+
+
+def segment_argmax(
+    seg: np.ndarray, score: np.ndarray, tie: str = "last"
+) -> np.ndarray:
+    """Row index of one maximal ``score`` per segment, ascending.
+
+    ``seg`` is non-empty and sorted, so each segment is one contiguous
+    run, and rows ascend by label within a run (the
+    :func:`group_from_gather` order). ``np.maximum`` returns one of its
+    operands bit-for-bit, so "row equal to its run's max" is an exact
+    test. Among bit-equal maxima ``tie="last"`` keeps the last row of a
+    run (the largest label) and ``tie="first"`` the first (the smallest).
+    """
+    run_start = _run_starts(seg)
+    run_max = np.maximum.reduceat(score, run_start.nonzero()[0])
+    at_max = (score == run_max[np.cumsum(run_start) - 1]).nonzero()[0]
+    seg_at = seg[at_max]
+    if tie == "first":
+        return at_max[_run_starts(seg_at)]
+    if tie != "last":
+        raise ValueError(f"tie must be 'first' or 'last', not {tie!r}")
+    is_last = np.empty(seg_at.size, dtype=bool)
+    is_last[-1] = True
+    np.not_equal(seg_at[1:], seg_at[:-1], out=is_last[:-1])
+    return at_max[is_last]
+
+
 def group_from_gather(
-    seg: np.ndarray, labs: np.ndarray, ws: np.ndarray, width: int | None = None
+    seg: np.ndarray,
+    labs: np.ndarray,
+    ws: np.ndarray,
+    width: int | None = None,
+    base: int = 0,
+    seg_keys: np.ndarray | None = None,
 ) -> LabelGroups:
     """Group pre-gathered (seg, neighbor-label, weight) rows by (seg, label).
 
-    One stable argsort of the fused int64 key ``seg * width + label``
-    replaces the two-key lexsort; both are stable on the same ordering, so
-    the summation order inside :func:`np.add.reduceat` — and therefore the
-    float results — are identical. Falls back to ``np.lexsort`` when the
-    fused key would overflow int64 (or labels are negative).
+    One argsort of the fused int64 key ``seg * width + label`` replaces
+    the two-key lexsort. Above 1024 rows the sort appends the row index
+    to the key: every key is then unique, the only sorted permutation of
+    unique keys is the stable one, and NumPy's unstable integer sort is
+    2-3x faster than its stable one there. All paths give the stable
+    order, so the summation order inside :func:`np.add.reduceat` — and
+    therefore the float results — are identical. Falls back to
+    ``np.lexsort`` when the fused key would overflow int64 (or labels are
+    negative).
 
     Pass ``width`` when the caller guarantees ``0 <= labs < width`` (e.g.
     community labels are always node ids, so ``width = n``): it skips the
-    min/max scans over the label array.
+    min/max scans over the label array. ``seg`` may count from ``base``
+    (a block of a larger sweep order); the returned ``gseg`` counts from
+    0. A caller that groups many blocks of one order can pass
+    ``seg_keys``, the block's slice of ``order_seg * width`` computed
+    once per order (``width`` is then required and the fused key must
+    fit int64).
     """
-    if seg.size == 0:
+    if labs.size == 0:
         return LabelGroups(_EMPTY_I, _EMPTY_I, _EMPTY_F)
-    if width is None:
-        trusted = labs.dtype.kind == "i" and int(labs.min()) >= 0
-        width = int(labs.max()) + 1 if trusted else 0
-    else:
-        trusted = True
-    max_seg = int(seg[-1])  # seg is block-ordered: last entry is the max
-    if trusted and 0 < width and (
-        max_seg <= (_MAX_FUSED_KEY - width + 1) // width
-    ):
-        keys = seg * np.int64(width) + labs
-        order = np.argsort(keys, kind="stable")
+    if seg_keys is None:
+        if width is None:
+            trusted = labs.dtype.kind == "i" and int(labs.min()) >= 0
+            width = int(labs.max()) + 1 if trusted else 0
+        else:
+            trusted = True
+        # seg is block-ordered: its last entry is the max.
+        if trusted and 0 < width and (
+            int(seg[-1]) <= (_MAX_FUSED_KEY - width + 1) // width
+        ):
+            seg_keys = seg * np.int64(width)
+    if seg_keys is not None:
+        keys = seg_keys + labs
+        rows = keys.size
+        # Keys stay below seg_keys[-1] + width, so the unique key fits
+        # int64 up to this many rows.
+        if 1024 < rows <= _MAX_FUSED_KEY // (int(seg_keys[-1]) + int(width)):
+            order = (keys * np.int64(rows) + np.arange(rows)).argsort()
+        else:
+            order = keys.argsort(kind="stable")
         keys_s = keys[order]
-        boundary = np.empty(keys_s.size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(keys_s[1:], keys_s[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        gw = np.add.reduceat(ws[order], starts)
-        group_keys = keys_s[starts]
-        return LabelGroups(
-            group_keys // width, group_keys % width, gw, group_keys, width
-        )
-    # Fallback: arbitrary (huge / negative) labels.
-    order = np.lexsort((labs, seg))
-    seg_s = seg[order]
-    labs_s = labs[order]
-    boundary = np.empty(seg_s.size, dtype=bool)
-    boundary[0] = True
-    np.logical_or(
-        seg_s[1:] != seg_s[:-1], labs_s[1:] != labs_s[:-1], out=boundary[1:]
-    )
-    starts = np.flatnonzero(boundary)
+        starts = _run_starts(keys_s).nonzero()[0]
+        gkeys = keys_s[starts]
+        gseg, glab = np.divmod(gkeys, width)
+    else:  # arbitrary (huge / negative) labels
+        order = np.lexsort((labs, seg))
+        seg_s = seg[order]
+        labs_s = labs[order]
+        boundary = _run_starts(seg_s)
+        boundary[1:] |= labs_s[1:] != labs_s[:-1]
+        starts = boundary.nonzero()[0]
+        gseg, glab, gkeys = seg_s[starts], labs_s[starts], None
+    if base:
+        gseg -= base
     gw = np.add.reduceat(ws[order], starts)
-    return LabelGroups(seg_s[starts], labs_s[starts], gw)
+    return LabelGroups(gseg, glab, gw, gkeys)
 
 
-def seg_bounds(seg: np.ndarray, size: int) -> np.ndarray:
-    """CSR-style bounds of a gathered segment array (``size + 1`` entries).
+def best_moves(
+    groups: LabelGroups,
+    cur: np.ndarray,
+    vol_u: np.ndarray,
+    comm_vol: np.ndarray,
+    omega: float,
+    gamma: float,
+    denom: float,
+    tie: str,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each node's best strictly positive modularity-gain move (§III-B).
 
-    ``seg`` is block-ordered (non-decreasing positions within the chunk),
-    so per-position counts plus a cumulative sum recover the slice
-    boundaries the compiled kernels consume. Used only on the fallback
-    path for chunks that are not slices of a pre-gathered plan.
+    ``groups`` holds the nodes' neighborhoods grouped by community;
+    ``cur``/``vol_u`` are each node's community and volume by position,
+    ``comm_vol`` the community volumes the gains are scored against,
+    ``omega`` the total edge weight and ``denom`` the caller's
+    ``2 w(E)^2``, precomputed once per phase as the compiled twin takes
+    it. Returns ``(pos, dst)`` — the positions that move, ascending, and
+    their target communities — or ``None`` when no gain clears the
+    ``1e-15`` strict-improvement threshold (float-noise "gains" do not
+    count; the compiled twin uses the same literal). ``tie`` picks among
+    bit-equal best gains (see :func:`segment_argmax`).
+
+    The own-community row can never win: its weight term is exactly
+    ``0.0`` (the weight minus itself) and its volume term is ``<= 0.0``
+    bit-for-bit (``fl(a - b) <= a`` for ``b >= 0``), so it needs no
+    explicit exclusion. Every row tied at a positive maximum clears the
+    threshold, so the argmax over the clearing rows picks the same winner
+    as one over all rows.
     """
-    bounds = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(seg, minlength=size), out=bounds[1:])
-    return bounds
+    gseg, glab, gw = groups.gseg, groups.glab, groups.gw
+    w_cur = groups.weight_to_label(cur.size, cur)
+    vol_c_wo_u = comm_vol[cur] - vol_u
+    delta = (gw - w_cur[gseg]) / omega + (
+        gamma * vol_u[gseg] * (vol_c_wo_u[gseg] - comm_vol[glab]) / denom
+    )
+    rows_p = (delta > 1e-15).nonzero()[0]
+    if rows_p.size == 0:
+        return None
+    win = rows_p[segment_argmax(gseg[rows_p], delta[rows_p], tie)]
+    return gseg[win], glab[win]
+
+
+def transfer_volumes(
+    comm_vol: np.ndarray, moves: list[tuple[np.ndarray, ...]]
+) -> None:
+    """Apply buffered ``(nodes, src, dst, vol)`` moves to ``comm_vol`` at
+    a barrier (Grappolo's color classes, SyncLouvain's sweeps), in node-id
+    order: commit arrival order depends on the schedule, node ids do not,
+    so neither do the float sums."""
+    nodes, src, dst, vol = (np.concatenate(col) for col in zip(*moves))
+    order = np.argsort(nodes)
+    np.subtract.at(comm_vol, src[order], vol[order])
+    np.add.at(comm_vol, dst[order], vol[order])
+
+
+def _hash_jitter(
+    node_ids: np.ndarray, labs: np.ndarray, salt: np.uint64
+) -> np.ndarray:
+    """Deterministic per-(node, label, salt) tie-break noise in [0, 1).
+
+    The original algorithm breaks ties among equally heavy labels
+    arbitrarily; a *consistent* tie-break (e.g. largest label) lets one
+    label win every tie and flood the graph. Hashing (node, label, salt)
+    reproduces arbitrary-but-deterministic tie-breaking, vectorized.
+
+    Wrapping uint64 arithmetic is intentional; NumPy array ops wrap
+    silently, so no ``errstate`` guard is needed (or wanted — entering
+    one per kernel block dominated small-graph sweeps).
+    """
+    h = (
+        node_ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        + labs.astype(np.uint64) * np.uint64(2654435761)
+        + salt
+    )
+    h ^= h >> np.uint64(33)
+    h *= np.uint64(0xFF51AFD7ED558CCD)
+    h ^= h >> np.uint64(33)
+    return (h >> np.uint64(11)).astype(np.float64) / float(2**53)
+
+
+def plp_vote(
+    groups: LabelGroups,
+    ids: np.ndarray,
+    cur: np.ndarray,
+    salt: np.uint64,
+    stay_bonus: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """PLP's jittered dominant-label rule (§III-A) for one chunk.
+
+    Every candidate label scores its weight plus
+    ``1e-9 * (1 + w) * jitter``, with the jitter hashed from
+    ``(ids[pos], label, salt)`` — ``ids`` are the ids the tie-break sees
+    (global ids under sharding). Staying scores the weight to the
+    current label ``cur[pos]``, plus ``stay_bonus`` if given, jittered the
+    same way. A node changes only when its best label (``tie="last"``
+    among bit-equal scores) strictly beats staying. Returns
+    ``(change, best_label)`` by position.
+    """
+    stay = groups.weight_to_label(cur.size, cur)
+    if stay_bonus is not None:
+        stay = stay + stay_bonus
+    split = groups.gseg.size
+    # One fused hash call covers the candidate and the stay scores; the
+    # hash is elementwise, so the halves are bit-identical to two calls.
+    j = _hash_jitter(
+        np.concatenate([ids[groups.gseg], ids]),
+        np.concatenate([groups.glab, cur]),
+        salt,
+    )
+    score = groups.gw + 1e-9 * (1.0 + groups.gw) * j[:split]
+    has, best_lab, best_w = groups.argmax_per_segment(cur.size, score=score)
+    stay_score = stay + 1e-9 * (1.0 + stay) * j[split:]
+    return has & (best_w > stay_score) & (best_lab != cur), best_lab
+
+
+def compiled_plp_vote(knb, n: int, weight_dtype: np.dtype):
+    """Bind the compiled twin of :func:`plp_vote` to fresh scratch.
+
+    ``knb`` is the compiled kernel module (:func:`kernel_module`), ``n``
+    bounds the label values and ``weight_dtype`` is the storage weight
+    dtype. Returns ``vote(ids, labels, bounds, lo, nbrs, ws, salt) ->
+    (change, best_label)`` over the CSR block ``nbrs``/``ws`` addressed
+    through ``bounds`` from ``lo`` (views, never copies).
+    """
+    scratch = knb.KernelScratch(n, weight_dtype)
+    # ``1.0`` / ``1e-9`` pre-cast to the storage weight dtype: NumPy's
+    # weak-scalar promotion evaluates the jitter scale in that dtype, and
+    # the compiled kernel must match bit-for-bit.
+    w_one = weight_dtype.type(1.0)
+    w_eps = weight_dtype.type(1e-9)
+
+    def vote(ids, labels, bounds, lo, nbrs, ws, salt):
+        change = np.empty(ids.size, dtype=np.bool_)
+        label = np.empty(ids.size, dtype=np.int64)
+        knb.plp_block(
+            ids,
+            labels,
+            bounds,
+            lo,
+            nbrs,
+            ws,
+            salt,
+            scratch.weight,
+            scratch.mark,
+            scratch.touched,
+            scratch.stamp,
+            w_one,
+            w_eps,
+            change,
+            label,
+        )
+        return change, label
+
+    return vote
 
 
 def kernel_module(backend: str):
@@ -366,6 +574,4 @@ def group_label_weights(
 ) -> LabelGroups:
     """Aggregate each chunk node's neighbor weights by neighbor label."""
     seg, nbrs, ws = gather_neighborhoods(graph, nodes)
-    if seg.size == 0:
-        return LabelGroups(_EMPTY_I, _EMPTY_I, _EMPTY_F)
     return group_from_gather(seg, labels[nbrs], ws)

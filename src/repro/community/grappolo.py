@@ -37,10 +37,12 @@ from typing import Any
 import numpy as np
 
 from repro.community._kernels import (
+    best_moves,
     gather_neighborhoods,
+    group_from_gather,
     neighborhood_cache,
+    transfer_volumes,
 )
-from repro.community._moves import best_sync_moves
 from repro.community.base import CommunityDetector
 from repro.graph.coarsening import coarsen, prolong
 from repro.graph.csr import Graph
@@ -225,6 +227,7 @@ class Grappolo(CommunityDetector):
             np.float64
         )
         gamma = self.gamma
+        denom = 2.0 * omega * omega
         rc = runtime.racecheck
         if rc is not None:
             # Shared-memory contract (docs/CORRECTNESS.md): the coloring
@@ -241,9 +244,11 @@ class Grappolo(CommunityDetector):
             seg, nbrs, ws = cache.gather(chunk)
             if seg.size == 0:
                 return None
-            decision = best_sync_moves(
-                chunk, seg, nbrs, ws, labels, comm_vol,
-                volumes[chunk], omega, gamma, n,
+            # Smallest label wins gain ties (the Lu/Halappanavar rule).
+            decision = best_moves(
+                group_from_gather(seg, labels[nbrs], ws, width=n),
+                labels[chunk], volumes[chunk], comm_vol, omega, gamma, denom,
+                "first",
             )
             if decision is None:
                 return None
@@ -293,17 +298,8 @@ class Grappolo(CommunityDetector):
                         memory_bound=0.45,
                         loop="grappolo.move",
                     )
-                    if pending:
-                        # Class barrier: apply all volume transfers in
-                        # node-id order — commit arrival order depends on
-                        # the schedule, node ids do not.
-                        nodes = np.concatenate([p[0] for p in pending])
-                        src = np.concatenate([p[1] for p in pending])
-                        dst = np.concatenate([p[2] for p in pending])
-                        vol = np.concatenate([p[3] for p in pending])
-                        order = np.argsort(nodes)
-                        np.subtract.at(comm_vol, src[order], vol[order])
-                        np.add.at(comm_vol, dst[order], vol[order])
+                    if pending:  # class barrier
+                        transfer_volumes(comm_vol, pending)
                     sweep_moves += state["moves"]
                 sweeps += 1
                 if sweep_moves == 0:

@@ -14,7 +14,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.community._kernels import group_from_gather, neighborhood_cache
+from repro.community._kernels import (
+    best_moves,
+    group_from_gather,
+    neighborhood_cache,
+)
 from repro.community.base import CommunityDetector
 from repro.graph.coarsening import coarsen, prolong
 from repro.graph.csr import Graph
@@ -52,6 +56,8 @@ class Louvain(CommunityDetector):
         vectorized: bool = True,
     ) -> None:
         super().__init__(threads=1)
+        if gamma < 0:
+            raise ValueError("gamma must be non-negative")
         self.gamma = gamma
         self.max_sweeps = max_sweeps
         self.max_levels = max_levels
@@ -202,6 +208,7 @@ class Louvain(CommunityDetector):
         gamma = self.gamma
         cache = neighborhood_cache(graph)
         c_indptr, c_counts = cache.indptr, cache.counts
+        # The scalar body's divisor, so proposals match it bit-for-bit.
         two_omega_sq = 2 * omega**2
 
         moved_in_block = np.zeros(n, dtype=bool)
@@ -218,48 +225,25 @@ class Louvain(CommunityDetector):
                 chunk = order[lo : lo + _SWEEP_BLOCK]
                 seg, nbrs, ws = cache.gather(chunk)
                 cur = labels[chunk]
+                # Best-move proposal per node (-1: stays) against the
+                # block-start state, smallest label on gain ties like
+                # np.argmax in the scalar body.
+                prop_dst = np.full(chunk.size, -1, dtype=np.int64)
                 if seg.size:
                     groups = group_from_gather(seg, labels[nbrs], ws, width=n)
-                    gseg, glab, gw = groups.gseg, groups.glab, groups.gw
-                    w_cur = groups.weight_to_label(chunk.size, cur)
-                    vol_u = volumes[chunk]
-                    vol_c_wo_u = comm_vol[cur] - vol_u
-                    delta = (gw - w_cur[gseg]) / omega + (
-                        gamma
-                        * vol_u[gseg]
-                        * (vol_c_wo_u[gseg] - comm_vol[glab])
-                        / two_omega_sq
+                    move = best_moves(
+                        groups, cur, volumes[chunk], comm_vol, omega, gamma,
+                        two_omega_sq, "first",
                     )
-                    delta[glab == cur[gseg]] = -np.inf
-                    # Segmented first-argmax: np.argmax takes the first
-                    # maximal entry, and glab ascends within a segment, so
-                    # "first row equal to its run max" is the scalar pick.
-                    run_start = np.empty(gseg.size, dtype=bool)
-                    run_start[0] = True
-                    np.not_equal(gseg[1:], gseg[:-1], out=run_start[1:])
-                    starts = np.flatnonzero(run_start)
-                    run_max = np.maximum.reduceat(delta, starts)
-                    run_idx = np.cumsum(run_start) - 1
-                    at_max = np.flatnonzero(delta == run_max[run_idx])
-                    seg_at = gseg[at_max]
-                    is_first = np.empty(seg_at.size, dtype=bool)
-                    np.not_equal(seg_at[1:], seg_at[:-1], out=is_first[1:])
-                    is_first[0] = True
-                    rows = at_max[is_first]
-                    prop_has = np.zeros(chunk.size, dtype=bool)
-                    prop_dst = np.zeros(chunk.size, dtype=np.int64)
-                    prop_delta = np.zeros(chunk.size, dtype=np.float64)
-                    prop_has[gseg[rows]] = True
-                    prop_dst[gseg[rows]] = glab[rows]
-                    prop_delta[gseg[rows]] = delta[rows]
+                    if move is not None:
+                        prop_dst[move[0]] = move[1]
                     # Per-segment group-row ranges for the candidate-
                     # community validity probe during commit.
-                    g_lo = np.searchsorted(gseg, np.arange(chunk.size))
+                    glab = groups.glab
+                    g_lo = np.searchsorted(groups.gseg, np.arange(chunk.size))
                     g_hi = np.searchsorted(
-                        gseg, np.arange(chunk.size), side="right"
+                        groups.gseg, np.arange(chunk.size), side="right"
                     )
-                else:
-                    prop_has = np.zeros(chunk.size, dtype=bool)
 
                 touched_nodes: list[int] = []
                 touched_comms: list[int] = []
@@ -277,9 +261,9 @@ class Louvain(CommunityDetector):
                         and not vol_touched[glab[g_lo[j] : g_hi[j]]].any()
                     )
                     if valid:
-                        if not prop_has[j] or prop_delta[j] <= 1e-15:
-                            continue
                         dst = int(prop_dst[j])
+                        if dst < 0:
+                            continue
                         vu = volumes[u]
                         labels[u] = dst
                         comm_vol[cu] -= vu

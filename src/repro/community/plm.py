@@ -35,7 +35,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.community._kernels import kernel_module, neighborhood_cache
+from repro.community._kernels import (
+    best_moves,
+    group_from_gather,
+    kernel_module,
+    neighborhood_cache,
+)
 from repro.community.backends import (
     resolve_kernel_backend,
     validate_kernel_backend,
@@ -217,120 +222,32 @@ class PLM(CommunityDetector):
         moved_batches: list[np.ndarray] = []
         rng = np.random.default_rng(self.seed)
 
-        width = np.int64(n)
+        # ``2 w(E)^2``, shared by the NumPy and compiled decisions.
+        denom = 2.0 * omega * omega
         fused_ok = n <= (np.iinfo(np.int64).max - n + 1) // max(n, 1)
-        # Above ~1k rows this NumPy's stable integer argsort (timsort) is
-        # 2-3x slower than introsort. Appending the row index as a tie
-        # component makes every key unique, and the *only* sorted
-        # permutation of unique keys is the stable one — so an unstable
-        # sort of ``key * rows + row`` returns bit-identical group order.
-        # Cap: keys are < n*n, so the fused unique key stays in int64 for
-        # row counts up to this bound.
-        ukey_cap = (
-            (np.iinfo(np.int64).max // max(1, n * n)) if fused_ok else 0
-        )
 
-        def decide(nodes, seg, nbrs, ws, cur, vol_u, keys=None, base=0):
-            """Fused move decision for ``nodes`` against the *current*
-            shared state.
+        def decide(seg, nbrs, ws, cur, vol_u, base=0, keys=None):
+            """Move decision for a block against the *current* shared
+            state: the shared group-by and Δmod argmax
+            (:mod:`repro.community._kernels`, larger label wins ties),
+            plus PLM's singleton symmetry breaking.
 
-            Returns ``(pos, src, dst, vol)`` — positions into ``nodes``
-            of the moving nodes plus their current/target labels and
-            volumes — or ``None`` when nothing moves. One flat function
-            (group-by, gain, segmented argmax, symmetry breaking) so the
-            per-block NumPy dispatch count stays low; the float operation
-            tree is identical to the generic
-            :func:`~repro.community._kernels.group_from_gather` +
-            ``argmax_per_segment`` composition.
-
-            ``cur``/``vol_u`` are per-sweep precomputed views (a node's
-            label cannot change before its own block runs, so the
-            sweep-start slice *is* the live value); ``keys`` carries
-            the global fused key ``seg_global * width + labs`` whose
-            constant per-block shift ``base * width`` does not change the
-            stable sort order, and ``base`` shifts group segments back to
-            block-local positions.
+            Returns ``(pos, src, dst, vol)`` — positions of the moving
+            nodes plus their current/target labels and volumes — or
+            ``None`` when nothing moves. ``cur``/``vol_u`` are per-sweep
+            precomputed views (a node's label cannot change before its
+            own block runs, so the sweep-start slice *is* the live
+            value); ``seg`` counts sweep-order positions from ``base``,
+            the block's start, and ``keys`` is the block's slice of the
+            sweep's ``seg * n``.
             """
-            if keys is not None:
-                keys = keys + labels[nbrs]
-                m_rows = keys.size
-                if 1024 < m_rows <= ukey_cap:
-                    order_k = (
-                        keys * np.int64(m_rows) + np.arange(m_rows)
-                    ).argsort()
-                else:
-                    order_k = keys.argsort(kind="stable")
-                keys_s = keys[order_k]
-                boundary = np.empty(keys_s.size, dtype=bool)
-                boundary[0] = True
-                np.not_equal(keys_s[1:], keys_s[:-1], out=boundary[1:])
-                starts = boundary.nonzero()[0]
-                gkeys = keys_s[starts]
-                gseg, glab = np.divmod(gkeys, width)
-                if base:
-                    gseg -= base
-            else:  # int64 overflow guard (n > ~3e9 only)
-                labs = labels[nbrs]
-                order_k = np.lexsort((labs, seg))
-                seg_s = seg[order_k]
-                labs_s = labs[order_k]
-                boundary = np.empty(seg_s.size, dtype=bool)
-                boundary[0] = True
-                np.logical_or(
-                    seg_s[1:] != seg_s[:-1],
-                    labs_s[1:] != labs_s[:-1],
-                    out=boundary[1:],
-                )
-                starts = boundary.nonzero()[0]
-                gseg = seg_s[starts]
-                glab = labs_s[starts]
-            gw = np.add.reduceat(ws[order_k], starts)
-            # Rows pointing at the node's own community: their summed
-            # weight is omega(u, C\\u), and they are excluded as move
-            # candidates (staying put is delta == 0).
-            rows = glab == cur[gseg]
-            w_cur = np.zeros(nodes.size, dtype=np.float64)
-            w_cur[gseg[rows]] = gw[rows]
-            # Gain of moving each node to each neighboring community.
-            vol_c_wo_u = comm_vol[cur] - vol_u
-            delta = (gw - w_cur[gseg]) / omega + (
-                gamma
-                * vol_u[gseg]
-                * (vol_c_wo_u[gseg] - comm_vol[glab])
-                / (2.0 * omega * omega)
+            groups = group_from_gather(seg, labels[nbrs], ws, n, base, keys)
+            move = best_moves(
+                groups, cur, vol_u, comm_vol, omega, gamma, denom, "last"
             )
-            # Only rows clearing the move threshold can win. The own-
-            # community row never does: its weight term is exactly 0.0
-            # (gw minus itself) and its volume term is <= 0.0 bit-for-bit
-            # (fl(a-b) <= a for b >= 0, so vol_c_wo_u - comm_vol[own]
-            # <= 0), so no explicit exclusion is needed and most blocks
-            # return here after a single comparison.
-            rows_p = (delta > 1e-15).nonzero()[0]
-            if rows_p.size == 0:
+            if move is None:
                 return None
-            # Segmented argmax over the positive rows only — a segment's
-            # global max is positive iff any of its rows is, and all rows
-            # tied at the max are positive, so restricting to them picks
-            # the same winner. np.maximum returns one of its operands
-            # bit-for-bit, so the equality probe is exact, and the *last*
-            # qualifying row of a run tie-breaks toward the larger label
-            # (rows are label-ascending within a run).
-            seg_p = gseg[rows_p]
-            delta_p = delta[rows_p]
-            run_start = np.empty(seg_p.size, dtype=bool)
-            run_start[0] = True
-            np.not_equal(seg_p[1:], seg_p[:-1], out=run_start[1:])
-            sstarts = run_start.nonzero()[0]
-            run_max = np.maximum.reduceat(delta_p, sstarts)
-            run_idx = np.cumsum(run_start) - 1
-            at_max = (delta_p == run_max[run_idx]).nonzero()[0]
-            seg_at = seg_p[at_max]
-            is_last = np.empty(seg_at.size, dtype=bool)
-            is_last[-1] = True
-            np.not_equal(seg_at[1:], seg_at[:-1], out=is_last[:-1])
-            win = rows_p[at_max[is_last]]
-            pos = seg_at[is_last]
-            dst = glab[win]
+            pos, dst = move
             src = cur[pos]
             # Symmetry breaking for concurrent evaluation: two singleton
             # nodes may see the symmetric move (u -> {v}, v -> {u}) as
@@ -352,7 +269,6 @@ class PLM(CommunityDetector):
 
         if knb is not None:
             scratch = knb.KernelScratch(n, cache.weights.dtype)
-            denom = 2.0 * omega * omega
 
             def decide_compiled(cur, vol_u, bounds, lo, nbrs, ws):
                 """Compiled twin of :func:`decide` over a CSR block.
@@ -389,7 +305,7 @@ class PLM(CommunityDetector):
                 pos = out_pos[:count]
                 return pos, cur[pos], out_dst[:count], vol_u[pos]
 
-        def make_kernel(plan, labels_ord, vol_ord, keys_base, spec):
+        def make_kernel(plan, labels_ord, vol_ord, keys_all, spec):
             """Bind the sweep's precomputed arrays into a fresh kernel
             closure (cheaper per block than dict lookups + method calls).
 
@@ -400,6 +316,7 @@ class PLM(CommunityDetector):
             """
             inv = plan._inv
             bounds = plan.bounds
+            seg_all = plan.seg
             nbrs_all = plan.nbrs
             ws_all = plan.ws
             if spec is not None:
@@ -454,22 +371,15 @@ class PLM(CommunityDetector):
                 nbrs = nbrs_all[sl]
                 if nbrs.size == 0:
                     return None
-                if keys_base is not None:
-                    decision = decide(
-                        chunk,
-                        None,
-                        nbrs,
-                        ws_all[sl],
-                        cur=cur,
-                        vol_u=vol_ord[lo:hi],
-                        keys=keys_base[sl],
-                        base=int(lo),
-                    )
-                else:  # int64 overflow fallback: local segments
-                    seg, nbrs, ws = plan.block_at(int(lo), chunk.size)
-                    decision = decide(
-                        chunk, seg, nbrs, ws, cur=cur, vol_u=vol_ord[lo:hi]
-                    )
+                decision = decide(
+                    seg_all[sl],
+                    nbrs,
+                    ws_all[sl],
+                    cur,
+                    vol_ord[lo:hi],
+                    int(lo),
+                    None if keys_all is None else keys_all[sl],
+                )
                 if decision is None:
                     return None
                 pos, src, dst, vol = decision
@@ -563,11 +473,10 @@ class PLM(CommunityDetector):
                 plan = cache.plan(order)
                 labels_ord = labels[order]
                 vol_ord = volumes[order]
-                # The fused sort key is a numpy-path artifact; the
-                # compiled kernels scan instead of sorting, so skip
-                # building it under the numba backend.
-                keys_base = (
-                    plan.seg * width if fused_ok and knb is None else None
+                # The group-by's fused segment keys, once per sweep; the
+                # compiled kernels scan instead of sorting.
+                keys_all = (
+                    plan.seg * np.int64(n) if fused_ok and knb is None else None
                 )
                 if (
                     self.speculate
@@ -585,13 +494,12 @@ class PLM(CommunityDetector):
                         )
                     else:
                         decision = decide(
-                            order,
                             plan.seg,
                             plan.nbrs,
                             plan.ws,
-                            cur=labels_ord,
-                            vol_u=vol_ord,
-                            keys=keys_base,
+                            labels_ord,
+                            vol_ord,
+                            keys=keys_all,
                         )
                     s_move = np.zeros(order.size, dtype=bool)
                     s_lab = np.zeros(order.size, dtype=np.int64)
@@ -613,7 +521,7 @@ class PLM(CommunityDetector):
                 runtime.charge(nodes_all.size * 0.5, parallel=True)
                 runtime.parallel_for(
                     order,
-                    make_kernel(plan, labels_ord, vol_ord, keys_base, spec),
+                    make_kernel(plan, labels_ord, vol_ord, keys_all, spec),
                     commit,
                     costs=costs,
                     schedule=self.schedule,

@@ -26,11 +26,13 @@ from typing import Any
 import numpy as np
 
 from repro.community._kernels import (
+    _hash_jitter,  # noqa: F401  (re-exported for repro.community.plp users)
+    compiled_plp_vote,
     gather_neighborhoods,
     group_from_gather,
     kernel_module,
     neighborhood_cache,
-    seg_bounds,
+    plp_vote,
 )
 from repro.community.backends import (
     resolve_kernel_backend,
@@ -41,31 +43,6 @@ from repro.graph.csr import Graph
 from repro.parallel.runtime import ParallelRuntime
 
 __all__ = ["PLP"]
-
-
-def _hash_jitter(
-    node_ids: np.ndarray, labs: np.ndarray, salt: np.uint64
-) -> np.ndarray:
-    """Deterministic per-(node, label, salt) tie-break noise in [0, 1).
-
-    The original algorithm breaks ties among equally heavy labels
-    arbitrarily; a *consistent* tie-break (e.g. largest label) lets one
-    label win every tie and flood the graph. Hashing (node, label, salt)
-    reproduces arbitrary-but-deterministic tie-breaking, vectorized.
-
-    Wrapping uint64 arithmetic is intentional; NumPy array ops wrap
-    silently, so no ``errstate`` guard is needed (or wanted — entering
-    one per kernel block dominated small-graph sweeps).
-    """
-    h = (
-        node_ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        + labs.astype(np.uint64) * np.uint64(2654435761)
-        + salt
-    )
-    h ^= h >> np.uint64(33)
-    h *= np.uint64(0xFF51AFD7ED558CCD)
-    h ^= h >> np.uint64(33)
-    return (h >> np.uint64(11)).astype(np.float64) / float(2**53)
 
 
 class PLP(CommunityDetector):
@@ -213,80 +190,27 @@ class PLP(CommunityDetector):
         # changes between iterations, not between blocks).
         state["salt"] = base_salt
 
-        if knb is not None:
-            scratch = knb.KernelScratch(n, cache.weights.dtype)
-            # ``1.0`` / ``1e-9`` pre-cast to the storage weight dtype:
-            # NumPy's weak-scalar promotion evaluates the jitter scale in
-            # that dtype, and the compiled kernel must match bit-for-bit.
-            w_one = cache.weights.dtype.type(1.0)
-            w_eps = cache.weights.dtype.type(1e-9)
+        if knb is None:
 
-        def kernel_compiled(chunk: np.ndarray):
-            plan = state["plan"]
-            lo = plan.offset(chunk)
-            if lo >= 0:
-                # Views of the plan's flat arrays — no per-block copies,
-                # no dtype conversion (lean int32/f32 pass through).
-                nbrs, ws, bounds = plan.nbrs, plan.ws, plan.bounds
-            else:  # foreign chunk (not a slice of the planned order)
-                seg, nbrs, ws = cache.gather(chunk)
-                bounds = seg_bounds(seg, chunk.size)
-                lo = 0
-            out_move = np.empty(chunk.size, dtype=np.bool_)
-            out_label = np.empty(chunk.size, dtype=np.int64)
-            knb.plp_block(
-                chunk,
-                labels,
-                bounds,
-                lo,
-                nbrs,
-                ws,
-                state["salt"],
-                scratch.weight,
-                scratch.mark,
-                scratch.touched,
-                scratch.stamp,
-                w_one,
-                w_eps,
-                out_move,
-                out_label,
-            )
-            return chunk[out_move], out_label[out_move], chunk[~out_move]
-
-        def kernel(chunk: np.ndarray):
-            seg, nbrs, ws = state["plan"].block(chunk)
-            # Labels are always node ids (< n), so the label-range scan
-            # inside the group-by can be skipped.
-            groups = group_from_gather(seg, labels[nbrs], ws, width=n)
-            cur = labels[chunk]
-            cur_w = groups.weight_to_label(chunk.size, cur)
-            salt = state["salt"]
-            if groups.gseg.size:
-                # One fused hash call covers both the candidate-label
-                # scores and the current-label scores; values are
-                # elementwise, so the split halves are bit-identical to
-                # two separate calls.
-                split = groups.gseg.size
-                j = _hash_jitter(
-                    np.concatenate([chunk[groups.gseg], chunk]),
-                    np.concatenate([groups.glab, cur]),
-                    salt,
+            def kernel(chunk: np.ndarray):
+                seg, nbrs, ws = state["plan"].block(chunk)
+                # Labels are always node ids (< n), so the label-range
+                # scan inside the group-by can be skipped.
+                groups = group_from_gather(seg, labels[nbrs], ws, width=n)
+                change, best = plp_vote(
+                    groups, chunk, labels[chunk], state["salt"]
                 )
-                scale = 1e-9 * (1.0 + groups.gw)
-                score = groups.gw + scale * j[:split]
-                cur_jitter = j[split:]
-            else:
-                score = groups.gw
-                cur_jitter = _hash_jitter(chunk, cur, salt)
-            has, best_lab, best_w = groups.argmax_per_segment(
-                chunk.size, score=score
-            )
-            cur_score = cur_w + 1e-9 * (1.0 + cur_w) * cur_jitter
-            change = has & (best_w > cur_score) & (best_lab != cur)
-            return chunk[change], best_lab[change], chunk[~change]
+                return chunk[change], best[change], chunk[~change]
 
-        if knb is not None:
-            kernel = kernel_compiled
+        else:
+            vote = compiled_plp_vote(knb, n, cache.weights.dtype)
+
+            def kernel(chunk: np.ndarray):
+                bounds, lo, nbrs, ws = state["plan"].csr_block(chunk)
+                change, best = vote(
+                    chunk, labels, bounds, lo, nbrs, ws, state["salt"]
+                )
+                return chunk[change], best[change], chunk[~change]
 
         def commit(update) -> None:
             moved, new_labels, stable = update

@@ -23,11 +23,11 @@ labels are **identical for every shard count** (and every worker count,
 kernel backend, and schedule). ``shards=1`` *is* the monolithic
 single-segment reference the benchmarks and CI compare against.
 
-The per-node vote reuses PLP's scoring verbatim (jittered dominant
-label, strict improvement), dispatching to the same numpy group-by or
-numba ``plp_block`` kernels — shard-local CSR slices in, **global** node
-ids and label values into the jitter hash, which is what keeps the
-tie-breaks layout-invariant.
+The per-node vote is PLP's own (jittered dominant label, strict
+improvement): :func:`~repro.community._kernels.plp_vote` or its compiled
+twin ``plp_block`` — shard-local CSR slices in, **global** node ids and
+label values into the jitter hash, which is what keeps the tie-breaks
+layout-invariant.
 
 Boundary-halo exchange
 ----------------------
@@ -49,17 +49,18 @@ from typing import Any
 import numpy as np
 
 from repro.community._kernels import (
+    _hash_jitter,
+    compiled_plp_vote,
     group_from_gather,
     kernel_module,
     neighborhood_cache,
-    seg_bounds,
+    plp_vote,
 )
 from repro.community.backends import (
     resolve_kernel_backend,
     validate_kernel_backend,
 )
 from repro.community.base import CommunityDetector
-from repro.community.plp import _hash_jitter
 from repro.graph.coarsening import coarsen, prolong
 from repro.graph.csr import Graph
 from repro.graph.sharding import (
@@ -169,7 +170,6 @@ def _sweep_shard(
     if items.size == 0:
         return _EMPTY, _EMPTY, _EMPTY, _EMPTY
     plan = cache.plan(items)
-    nbrs_g = to_global[plan.nbrs]  # flat global neighbor ids, plan-aligned
     backend = resolve_kernel_backend(kernel_backend)
     knb = kernel_module(backend)
 
@@ -177,77 +177,31 @@ def _sweep_shard(
     label_parts: list[np.ndarray] = []
     stable_parts: list[np.ndarray] = []
 
-    def kernel(chunk: np.ndarray):
-        lo = plan.offset(chunk)
-        if lo >= 0:
-            sl = slice(int(plan.bounds[lo]), int(plan.bounds[lo + chunk.size]))
-            seg = plan.seg[sl] - lo
-            ng = nbrs_g[sl]
-            ws = plan.ws[sl]
-        else:  # foreign chunk (not a slice of the planned order)
-            seg, nbrs_l, ws = cache.gather(chunk)
-            ng = to_global[nbrs_l]
-        chunk_g = to_global[chunk]
-        # Identical expression tree to PLP's numpy kernel, with global
-        # ids/labels; ``width=n_global`` keeps the fused group-by exact.
-        groups = group_from_gather(seg, labels[ng], ws, width=n_global)
-        cur = labels[chunk_g]
-        cur_w = groups.weight_to_label(chunk.size, cur)
-        if groups.gseg.size:
-            split = groups.gseg.size
-            j = _hash_jitter(
-                np.concatenate([chunk_g[groups.gseg], chunk_g]),
-                np.concatenate([groups.glab, cur]),
-                salt,
+    if knb is None:
+
+        def kernel(chunk: np.ndarray):
+            seg, nbrs, ws = plan.block(chunk)
+            # PLP's vote with global ids/labels; ``width=n_global`` keeps
+            # the fused group-by exact.
+            groups = group_from_gather(
+                seg, labels[to_global[nbrs]], ws, width=n_global
             )
-            scale = 1e-9 * (1.0 + groups.gw)
-            score = groups.gw + scale * j[:split]
-            cur_jitter = j[split:]
-        else:
-            score = groups.gw
-            cur_jitter = _hash_jitter(chunk_g, cur, salt)
-        has, best_lab, best_w = groups.argmax_per_segment(chunk.size, score=score)
-        cur_score = cur_w + 1e-9 * (1.0 + cur_w) * cur_jitter
-        change = has & (best_w > cur_score) & (best_lab != cur)
-        return chunk[change], best_lab[change], chunk[~change]
-
-    if knb is not None:
-        scratch = knb.KernelScratch(n_global, cache.weights.dtype)
-        w_one = cache.weights.dtype.type(1.0)
-        w_eps = cache.weights.dtype.type(1e-9)
-
-        def kernel_compiled(chunk: np.ndarray):
-            lo = plan.offset(chunk)
-            if lo >= 0:
-                nbrs, ws, bounds = nbrs_g, plan.ws, plan.bounds
-            else:
-                seg, nbrs_l, ws = cache.gather(chunk)
-                nbrs = to_global[nbrs_l]
-                bounds = seg_bounds(seg, chunk.size)
-                lo = 0
             chunk_g = to_global[chunk]
-            out_move = np.empty(chunk.size, dtype=np.bool_)
-            out_label = np.empty(chunk.size, dtype=np.int64)
-            knb.plp_block(
-                chunk_g,
-                labels,
-                bounds,
-                lo,
-                nbrs,
-                ws,
-                salt,
-                scratch.weight,
-                scratch.mark,
-                scratch.touched,
-                scratch.stamp,
-                w_one,
-                w_eps,
-                out_move,
-                out_label,
-            )
-            return chunk[out_move], out_label[out_move], chunk[~out_move]
+            change, best = plp_vote(groups, chunk_g, labels[chunk_g], salt)
+            return chunk[change], best[change], chunk[~change]
 
-        kernel = kernel_compiled
+    else:
+        vote = compiled_plp_vote(knb, n_global, cache.weights.dtype)
+        nbrs_g = to_global[plan.nbrs]  # flat global neighbor ids, plan-aligned
+
+        def kernel(chunk: np.ndarray):
+            bounds, lo, nbrs, ws = plan.csr_block(chunk)
+            # Map a foreign chunk's fresh gather; the plan has nbrs_g.
+            nbrs = nbrs_g if nbrs is plan.nbrs else to_global[nbrs]
+            change, best = vote(
+                to_global[chunk], labels, bounds, lo, nbrs, ws, salt
+            )
+            return chunk[change], best[change], chunk[~change]
 
     def commit(update) -> None:
         # Synchronous semantics: buffer the decisions; nothing is applied
@@ -657,21 +611,10 @@ class ShardedPLP(CommunityDetector):
                         np.asarray(ws, dtype=np.float64),
                         width=cn,
                     )
-                    cur = clabels[items]
-                    cur_w = groups.weight_to_label(items.size, cur)
-                    split = groups.gseg.size
-                    j = _hash_jitter(
-                        np.concatenate([items[groups.gseg], items]),
-                        np.concatenate([groups.glab, cur]),
-                        salt,
+                    # Staying also keeps the community's internal weight.
+                    change, best_lab = plp_vote(
+                        groups, items, clabels[items], salt, loops64[items]
                     )
-                    score = groups.gw + 1e-9 * (1.0 + groups.gw) * j[:split]
-                    stay = cur_w + loops64[items]
-                    cur_score = stay + 1e-9 * (1.0 + stay) * j[split:]
-                    has, best_lab, best_w = groups.argmax_per_segment(
-                        items.size, score=score
-                    )
-                    change = has & (best_w > cur_score) & (best_lab != cur)
                     runtime.charge(
                         float(seg.size + items.size),
                         parallel=True,

@@ -28,10 +28,14 @@ from typing import Any
 
 import numpy as np
 
-from repro.community._kernels import neighborhood_cache
-from repro.community._moves import best_sync_moves
+from repro.community._kernels import (
+    _hash_jitter,
+    best_moves,
+    group_from_gather,
+    neighborhood_cache,
+    transfer_volumes,
+)
 from repro.community.base import CommunityDetector
-from repro.community.plp import _hash_jitter
 from repro.graph.coarsening import coarsen, prolong
 from repro.graph.csr import Graph
 from repro.parallel.runtime import ParallelRuntime
@@ -124,6 +128,7 @@ class SyncLouvain(CommunityDetector):
             np.float64
         )
         gamma = self.gamma
+        denom = 2.0 * omega * omega
         p = self.move_probability
         rc = runtime.racecheck
         if rc is not None:
@@ -150,9 +155,11 @@ class SyncLouvain(CommunityDetector):
             if seg.size == 0:
                 return None
             snap = state["snap"]
-            decision = best_sync_moves(
-                chunk, seg, nbrs, ws, snap, state["vol_snap"],
-                volumes[chunk], omega, gamma, n,
+            # Smallest label wins gain ties (the Lu/Halappanavar rule).
+            decision = best_moves(
+                group_from_gather(seg, snap[nbrs], ws, width=n),
+                snap[chunk], volumes[chunk], state["vol_snap"], omega, gamma,
+                denom, "first",
             )
             if decision is None:
                 return None
@@ -210,17 +217,8 @@ class SyncLouvain(CommunityDetector):
                     memory_bound=0.45,
                     loop="slouvain.move",
                 )
-                if pending:
-                    # Sweep barrier: volume transfers in node-id order —
-                    # commit arrival order depends on the schedule, node
-                    # ids do not.
-                    nodes = np.concatenate([b[0] for b in pending])
-                    src = np.concatenate([b[1] for b in pending])
-                    dst = np.concatenate([b[2] for b in pending])
-                    vol = np.concatenate([b[3] for b in pending])
-                    order = np.argsort(nodes)
-                    np.subtract.at(comm_vol, src[order], vol[order])
-                    np.add.at(comm_vol, dst[order], vol[order])
+                if pending:  # sweep barrier
+                    transfer_volumes(comm_vol, pending)
                     pending.clear()
                 sweeps += 1
                 if state["candidates"] == 0:

@@ -215,16 +215,24 @@ def test_kernel_suite_emits_backend_ab_under_fallback(monkeypatch, tmp_path):
 
 def test_e2e_suite_records_resolved_backend(monkeypatch, tmp_path):
     from repro.community._kernels_numba import FALLBACK_ENV
+    from repro.parallel.backend import shutdown_all
 
     monkeypatch.setenv(FALLBACK_ENV, "1")
+    # Pool workers read the variable when they start: reap any pool an
+    # earlier test started, so the suite's workers inherit it, and reap
+    # this test's pool so no later test inherits it.
+    shutdown_all()
     out = tmp_path / "e.json"
-    assert (
-        main(
-            ["e2e", "--preset", "smoke", "--repeats", "1",
-             "--kernel-backend", "numba", "--out", str(out)]
+    try:
+        assert (
+            main(
+                ["e2e", "--preset", "smoke", "--repeats", "1",
+                 "--kernel-backend", "numba", "--out", str(out)]
+            )
+            == 0
         )
-        == 0
-    )
+    finally:
+        shutdown_all()
     doc = json.loads(out.read_text())
     assert validate_document(doc) == []
     runs = [e for e in doc["benchmarks"] if e["name"].endswith("_run")]

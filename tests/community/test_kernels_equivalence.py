@@ -22,8 +22,14 @@ from repro.community._kernels import (
 from repro.graph import GraphBuilder
 
 
-def random_loopy_graph(n: int, n_edges: int, rng: np.random.Generator):
-    """Random weighted multigraph-free graph including some self-loops."""
+def random_loopy_graph(
+    n: int, n_edges: int, rng: np.random.Generator, integer: bool = False
+):
+    """Random weighted multigraph-free graph including some self-loops.
+
+    ``integer=True`` draws weights from {1, 2, 3}, so weight sums are
+    exact and ties between labels are bit-equal.
+    """
     b = GraphBuilder(n)
     seen = set()
     while len(seen) < n_edges:
@@ -33,7 +39,8 @@ def random_loopy_graph(n: int, n_edges: int, rng: np.random.Generator):
         if (min(u, v), max(u, v)) in seen:
             continue
         seen.add((min(u, v), max(u, v)))
-        b.add_edge(u, v, float(rng.uniform(0.1, 5.0)))
+        w = rng.integers(1, 4) if integer else rng.uniform(0.1, 5.0)
+        b.add_edge(u, v, float(w))
     return b.build()
 
 
@@ -97,15 +104,25 @@ def test_weight_to_label_current_beyond_key_width():
     assert np.all(groups.weight_to_label(graph.n, huge) == 0.0)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_argmax_per_segment_matches_dict_reference(seed):
+@pytest.mark.parametrize(
+    "seed,tie",
+    [(0, None), (1, None), (2, None), (3, "first"), (4, "last")],
+    ids=["0", "1", "2", "int-first", "int-last"],
+)
+def test_argmax_per_segment_matches_dict_reference(seed, tie):
+    # tie=None: float weights, default tie-break. Otherwise integer
+    # weights make ties exact and the named tie-break is checked exactly.
     rng = np.random.default_rng(seed + 20)
-    graph = random_loopy_graph(50, 150, rng)
+    graph = random_loopy_graph(50, 150, rng, integer=tie is not None)
     labels = rng.integers(0, 7, size=graph.n).astype(np.int64)
     nodes = np.arange(graph.n, dtype=np.int64)
     groups = group_label_weights(graph, nodes, labels)
-    has, best_lab, best_w = groups.argmax_per_segment(graph.n)
+    if tie is None:
+        has, best_lab, best_w = groups.argmax_per_segment(graph.n)
+    else:
+        has, best_lab, best_w = groups.argmax_per_segment(graph.n, tie=tie)
     expected = reference_label_weights(graph, nodes, labels)
+    exact_ties = 0
     for v in range(graph.n):
         if not expected[v]:
             assert not has[v]
@@ -116,6 +133,12 @@ def test_argmax_per_segment_matches_dict_reference(seed):
         # Tie-break: largest label among (float-noise-tolerant) maxima.
         maxima = [l for l, w in expected[v].items() if np.isclose(w, top)]
         assert best_lab[v] in maxima
+        if tie is not None:
+            exact = [l for l, w in expected[v].items() if w == top]
+            exact_ties += len(exact) > 1
+            assert best_lab[v] == (min(exact) if tie == "first" else max(exact))
+    if tie is not None:
+        assert exact_ties > 0  # the inputs really contain exact ties
 
 
 def test_fused_sort_bitwise_matches_lexsort_fallback(monkeypatch):

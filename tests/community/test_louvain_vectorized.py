@@ -22,16 +22,32 @@ def _cases():
     yield "ring", generators.ring(64)
 
 
-@pytest.mark.parametrize("label,graph", list(_cases()), ids=[c[0] for c in _cases()])
-def test_vectorized_sweep_byte_identical(label, graph):
-    scalar = Louvain(seed=4, vectorized=False).run(graph)
-    vector = Louvain(seed=4, vectorized=True).run(graph)
+def _gamma_cases():
+    # gamma=1.0 keeps the plain case ids; other resolutions exercise the
+    # volume term of the shared gain with a non-unit weight.
+    for label, graph in _cases():
+        yield pytest.param(graph, 1.0, id=label)
+        for gamma in (0.5, 2.0):
+            yield pytest.param(graph, gamma, id=f"{label}-gamma{gamma}")
+
+
+@pytest.mark.parametrize("graph,gamma", list(_gamma_cases()))
+def test_vectorized_sweep_byte_identical(graph, gamma):
+    scalar = Louvain(seed=4, gamma=gamma, vectorized=False).run(graph)
+    vector = Louvain(seed=4, gamma=gamma, vectorized=True).run(graph)
     assert np.array_equal(scalar.partition.labels, vector.partition.labels)
     assert scalar.timing == vector.timing  # identical work charges too
 
 
 def test_vectorized_is_default():
     assert Louvain().vectorized is True
+
+
+def test_negative_gamma_rejected():
+    # The shared gain relies on gamma >= 0 to rule out the own-community
+    # row, as PLM, Grappolo and SyncLouvain already require.
+    with pytest.raises(ValueError):
+        Louvain(gamma=-0.5)
 
 
 def test_weighted_graph_identical():

@@ -90,7 +90,7 @@ class TestBehaviour:
 
     def test_info_block(self):
         g = _rmat()
-        info = ShardedPLP(threads=8, seed=0, shards=3).run(g).info
+        info = ShardedPLP(threads=8, seed=0, shards=3, workers=1).run(g).info
         assert info["shards"] == 3
         assert info["partitioner"] == "contiguous"
         assert info["rounds"] and all("ghost_updates" in r for r in info["rounds"])
