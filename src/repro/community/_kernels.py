@@ -191,6 +191,34 @@ class SweepPlan:
             return self.seg[sl] - lo, self.nbrs[sl], self.ws[sl]
         return self._cache.gather(chunk)
 
+    def batch(
+        self, chunks: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(nodes, seg, nbrs, ws)`` of a list of grain blocks.
+
+        ``nodes`` is the blocks concatenated and ``seg`` counts positions
+        within it. Each node keeps its rows in plan order, so the
+        group-by (stable within a segment) and every per-node rule after
+        it give each node bit-for-bit what a one-block call would.
+        """
+        if len(chunks) == 1:
+            chunk = chunks[0]
+            return (chunk, *self.block(chunk))
+        nodes = np.concatenate(chunks)
+        los = [self.offset(c) for c in chunks]
+        if min(los) < 0:
+            return (nodes, *self._cache.gather(nodes))
+        sizes = [c.size for c in chunks]
+        lo = np.array(los)
+        starts, stops = self.bounds[lo], self.bounds[lo + sizes]
+        sls = [slice(a, z) for a, z in zip(starts.tolist(), stops.tolist())]
+        seg = np.concatenate([self.seg[s] for s in sls])
+        # Shift each block's sweep positions to its batch positions.
+        seg -= np.repeat(lo - (np.cumsum(sizes) - sizes), stops - starts)
+        nbrs = np.concatenate([self.nbrs[s] for s in sls])
+        ws = np.concatenate([self.ws[s] for s in sls])
+        return nodes, seg, nbrs, ws
+
     def csr_block(
         self, chunk: np.ndarray
     ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
@@ -243,9 +271,9 @@ class LabelGroups(NamedTuple):
     ``gseg[i]``, the total edge weight to neighbors labelled ``glab[i]`` is
     ``gw[i]``. Rows are sorted by ``(gseg, glab)``.
 
-    ``keys`` carries the fused sort key (``seg * width + glab``, before
-    any ``base`` shift) when the fused group-by path produced the rows;
-    it is ``None`` on the lexsort fallback path.
+    ``keys`` carries the fused sort key (``seg * width + glab``) when the
+    fused group-by path produced the rows; it is ``None`` on the lexsort
+    fallback path.
     """
 
     gseg: np.ndarray
@@ -333,8 +361,6 @@ def group_from_gather(
     labs: np.ndarray,
     ws: np.ndarray,
     width: int | None = None,
-    base: int = 0,
-    seg_keys: np.ndarray | None = None,
 ) -> LabelGroups:
     """Group pre-gathered (seg, neighbor-label, weight) rows by (seg, label).
 
@@ -350,26 +376,21 @@ def group_from_gather(
 
     Pass ``width`` when the caller guarantees ``0 <= labs < width`` (e.g.
     community labels are always node ids, so ``width = n``): it skips the
-    min/max scans over the label array. ``seg`` may count from ``base``
-    (a block of a larger sweep order); the returned ``gseg`` counts from
-    0. A caller that groups many blocks of one order can pass
-    ``seg_keys``, the block's slice of ``order_seg * width`` computed
-    once per order (``width`` is then required and the fused key must
-    fit int64).
+    min/max scans over the label array.
     """
     if labs.size == 0:
         return LabelGroups(_EMPTY_I, _EMPTY_I, _EMPTY_F)
-    if seg_keys is None:
-        if width is None:
-            trusted = labs.dtype.kind == "i" and int(labs.min()) >= 0
-            width = int(labs.max()) + 1 if trusted else 0
-        else:
-            trusted = True
-        # seg is block-ordered: its last entry is the max.
-        if trusted and 0 < width and (
-            int(seg[-1]) <= (_MAX_FUSED_KEY - width + 1) // width
-        ):
-            seg_keys = seg * np.int64(width)
+    if width is None:
+        trusted = labs.dtype.kind == "i" and int(labs.min()) >= 0
+        width = int(labs.max()) + 1 if trusted else 0
+    else:
+        trusted = True
+    seg_keys = None
+    # seg is block-ordered: its last entry is the max.
+    if trusted and 0 < width and (
+        int(seg[-1]) <= (_MAX_FUSED_KEY - width + 1) // width
+    ):
+        seg_keys = seg * np.int64(width)
     if seg_keys is not None:
         keys = seg_keys + labs
         rows = keys.size
@@ -391,8 +412,6 @@ def group_from_gather(
         boundary[1:] |= labs_s[1:] != labs_s[:-1]
         starts = boundary.nonzero()[0]
         gseg, glab, gkeys = seg_s[starts], labs_s[starts], None
-    if base:
-        gseg -= base
     gw = np.add.reduceat(ws[order], starts)
     return LabelGroups(gseg, glab, gw, gkeys)
 

@@ -54,6 +54,10 @@ from repro.partition.quality import modularity
 __all__ = ["PLM", "PLMR"]
 
 
+def _never(update) -> bool:
+    return False
+
+
 class PLM(CommunityDetector):
     """Parallel Louvain method.
 
@@ -75,11 +79,6 @@ class PLM(CommunityDetector):
     seed:
         Tie-breaking seed (kept for API symmetry; PLM itself is
         deterministic given the runtime interleaving).
-    speculate:
-        Enable the whole-sweep speculation fast path on quiet sweeps
-        (default on; results are bit-identical either way — the A/B flag
-        exists so tests can prove it, see ``info["speculation"]`` for the
-        per-run validated/invalidated block counts).
     audit_modularity:
         Recompute full modularity after every sweep and record
         ``abs(incremental - full)`` in ``modularity_audit`` (testing hook;
@@ -104,7 +103,6 @@ class PLM(CommunityDetector):
         schedule: str = "guided",
         seed: int = 0,
         audit_modularity: bool = False,
-        speculate: bool = True,
         kernel_backend: str | None = None,
     ) -> None:
         super().__init__(threads=threads)
@@ -120,10 +118,6 @@ class PLM(CommunityDetector):
         self.schedule = schedule
         self.seed = seed
         self.audit_modularity = audit_modularity
-        self.speculate = speculate
-        #: speculation telemetry of the most recent run (also published as
-        #: ``info["speculation"]`` on the result).
-        self._spec_counters: dict[str, int] = {}
         #: abs(incremental - full) per audited sweep (see audit_modularity).
         self.modularity_audit: list[float] = []
         if refine:
@@ -154,19 +148,13 @@ class PLM(CommunityDetector):
         * neighborhoods of the whole sweep order are pre-gathered once
           (:class:`~repro.community._kernels.SweepPlan`); grain blocks
           slice flat arrays instead of rebuilding index arithmetic;
-        * when the previous sweep moved almost nothing (near convergence),
-          the whole sweep's move decisions are *speculated* in one
-          vectorized pass over the
-          sweep-start state (``decide`` on the full order — the same code
-          path the per-block kernel runs, so the float operation tree is
-          identical by construction). A block accepts its speculated
-          decision only if none of its input communities changed since
-          the sweep started (``comm_dirty`` check, exact: commits mark
-          their source/destination communities, and a moved neighbor's
-          sweep-start label is its source, so any input drift is caught);
-          otherwise it re-evaluates against live state as usual. Most
-          blocks in a quiet sweep validate, turning ~50 NumPy calls into
-          ~10;
+        * the move loop opts into the runtime's read-batching
+          (``parallel_for(quiet=...)``): a commit that moves no node is
+          ``None`` and never lands, so a run of blocks with only such
+          commits between them reads identical state and is decided in
+          one call — one group-by and Δmod argmax instead of one per
+          block, with bit-identical per-node results (see
+          :meth:`~repro.community._kernels.SweepPlan.batch`);
         * modularity is tracked incrementally across sweeps from the moved
           nodes' neighborhoods instead of an O(m) recomputation per sweep
           (see ``audit_modularity`` for the invariant hook).
@@ -185,10 +173,7 @@ class PLM(CommunityDetector):
         )
         comm_size = np.bincount(labels, minlength=n).astype(np.int64)
         gamma = self.gamma
-        state: dict[str, Any] = {"moves": 0, "spec": None, "spec_dirty": False}
-        # Communities whose volume/size changed since sweep start (only
-        # maintained while a speculation is active).
-        comm_dirty = np.zeros(n, dtype=bool)
+        state: dict[str, Any] = {"moves": 0}
         rc = runtime.racecheck
         # Resolve the backend per phase: the detector stores only the
         # policy string, so instances stay picklable for EPP's process
@@ -203,8 +188,7 @@ class PLM(CommunityDetector):
             # Shared-memory contract (docs/CORRECTNESS.md): gain kernels
             # read labels/volumes/sizes stale (§III-B benign races); the
             # volume/size transfers run at commit time under the modeled
-            # per-community lock (accumulate_ok); comm_dirty is an
-            # idempotent monotone flag array (racing set-True is safe).
+            # per-community lock (accumulate_ok).
             labels = rc.track(labels, "plm.labels", stale_read_ok=True)
             comm_vol = rc.track(
                 comm_vol, "plm.comm_vol", stale_read_ok=True, accumulate_ok=True
@@ -212,36 +196,24 @@ class PLM(CommunityDetector):
             comm_size = rc.track(
                 comm_size, "plm.comm_size", stale_read_ok=True, accumulate_ok=True
             )
-            comm_dirty = rc.track(
-                comm_dirty,
-                "plm.comm_dirty",
-                stale_read_ok=True,
-                write_write_ok=True,
-            )
-        spec_ctr = self._spec_counters
         moved_batches: list[np.ndarray] = []
         rng = np.random.default_rng(self.seed)
 
         # ``2 w(E)^2``, shared by the NumPy and compiled decisions.
         denom = 2.0 * omega * omega
-        fused_ok = n <= (np.iinfo(np.int64).max - n + 1) // max(n, 1)
 
-        def decide(seg, nbrs, ws, cur, vol_u, base=0, keys=None):
-            """Move decision for a block against the *current* shared
-            state: the shared group-by and Δmod argmax
+        def decide(seg, nbrs, ws, cur, vol_u):
+            """Move decision for a batch of nodes against the *current*
+            shared state: the shared group-by and Δmod argmax
             (:mod:`repro.community._kernels`, larger label wins ties),
             plus PLM's singleton symmetry breaking.
 
             Returns ``(pos, src, dst, vol)`` — positions of the moving
             nodes plus their current/target labels and volumes — or
-            ``None`` when nothing moves. ``cur``/``vol_u`` are per-sweep
-            precomputed views (a node's label cannot change before its
-            own block runs, so the sweep-start slice *is* the live
-            value); ``seg`` counts sweep-order positions from ``base``,
-            the block's start, and ``keys`` is the block's slice of the
-            sweep's ``seg * n``.
+            ``None`` when nothing moves. ``cur``/``vol_u`` are the nodes'
+            labels and volumes by position; ``seg`` counts positions.
             """
-            groups = group_from_gather(seg, labels[nbrs], ws, n, base, keys)
+            groups = group_from_gather(seg, labels[nbrs], ws, n)
             move = best_moves(
                 groups, cur, vol_u, comm_vol, omega, gamma, denom, "last"
             )
@@ -305,85 +277,49 @@ class PLM(CommunityDetector):
                 pos = out_pos[:count]
                 return pos, cur[pos], out_dst[:count], vol_u[pos]
 
-        def make_kernel(plan, labels_ord, vol_ord, keys_all, spec):
-            """Bind the sweep's precomputed arrays into a fresh kernel
-            closure (cheaper per block than dict lookups + method calls).
+        def make_kernel(plan):
+            """The sweep's kernel over a list of grain blocks: one
+            decision over all of them, cut back into per-block updates
+            ``(nodes, src, dst, vol)`` (``None`` where nothing moves).
+            A node's label cannot change before its own block runs, and
+            the runtime batches only blocks that read identical state."""
 
-            ``labels_ord``/``vol_ord`` are sweep-start per-position views;
-            a node's label/volume cannot change before its own block runs,
-            so basic slices of them are bit-identical to the fancy gathers
-            ``labels[chunk]``/``volumes[chunk]``.
-            """
-            inv = plan._inv
-            bounds = plan.bounds
-            seg_all = plan.seg
-            nbrs_all = plan.nbrs
-            ws_all = plan.ws
-            if spec is not None:
-                s_move, s_lab, s_vol, s_nbr_labs = spec
-
-            def kernel(chunk: np.ndarray):
-                # ``parallel_for`` hands out non-empty contiguous slices
-                # of ``order``, so a block is ``order[lo:hi]``.
-                lo = inv[chunk[0]]
-                hi = lo + chunk.size
-                sl = slice(bounds[lo], bounds[hi])
-                cur = labels_ord[lo:hi]
-                if spec is not None:
-                    # Every decision input lives in the chunk's or its
-                    # neighbors' sweep-start communities (a moved
-                    # neighbor's source community is its sweep-start
-                    # label, so label drift is caught too). All clean ->
-                    # the kernel would read bit-identical inputs to the
-                    # speculation pass. Until the sweep's first commit
-                    # (``spec_dirty``) nothing can be dirty, so the
-                    # per-block array checks are skipped outright — in a
-                    # fully quiet sweep every block takes this scalar
-                    # shortcut.
-                    if not state["spec_dirty"] or (
-                        not comm_dirty[s_nbr_labs[sl]].any()
-                        and not comm_dirty[cur].any()
-                    ):
-                        spec_ctr["validated"] = spec_ctr.get("validated", 0) + 1
-                        mm = s_move[lo:hi]
-                        if not mm.any():
-                            return None
-                        return (
-                            chunk[mm],
-                            cur[mm],
-                            s_lab[lo:hi][mm],
-                            s_vol[lo:hi][mm],
-                        )
-                    # A commit since sweep start touched one of this
-                    # block's input communities: the speculated decision
-                    # may be stale, re-evaluate against live state below.
-                    spec_ctr["invalidated"] = spec_ctr.get("invalidated", 0) + 1
+            def kernel(chunks: list[np.ndarray]):
                 if knb is not None:
-                    if bounds[lo] == bounds[hi]:
-                        return None
-                    decision = decide_compiled(
-                        cur, vol_ord[lo:hi], bounds, int(lo), nbrs_all, ws_all
-                    )
-                    if decision is None:
-                        return None
-                    pos, src, dst, vol = decision
-                    return chunk[pos], src, dst, vol
-                nbrs = nbrs_all[sl]
-                if nbrs.size == 0:
-                    return None
-                decision = decide(
-                    seg_all[sl],
-                    nbrs,
-                    ws_all[sl],
-                    cur,
-                    vol_ord[lo:hi],
-                    int(lo),
-                    None if keys_all is None else keys_all[sl],
+                    # The compiled decision keeps one call per block.
+                    out = []
+                    for chunk in chunks:
+                        bounds, lo, nbrs, ws = plan.csr_block(chunk)
+                        decision = decide_compiled(
+                            labels[chunk], volumes[chunk], bounds, lo, nbrs, ws
+                        )
+                        if decision is not None:
+                            pos, src, dst, vol = decision
+                            decision = chunk[pos], src, dst, vol
+                        out.append(decision)
+                    return out
+                nodes, seg, nbrs, ws = plan.batch(chunks)
+                decision = (
+                    decide(seg, nbrs, ws, labels[nodes], volumes[nodes])
+                    if nbrs.size
+                    else None
                 )
                 if decision is None:
-                    return None
+                    return [None] * len(chunks)
                 pos, src, dst, vol = decision
-                return chunk[pos], src, dst, vol
+                if len(chunks) == 1:
+                    return [(nodes[pos], src, dst, vol)]
+                offs = np.cumsum([0] + [c.size for c in chunks])
+                cuts = np.searchsorted(pos, offs).tolist()
+                out = []
+                for b in range(len(chunks)):
+                    a, z = cuts[b], cuts[b + 1]
+                    out.append(
+                        (nodes[pos[a:z]], src[a:z], dst[a:z], vol[a:z])
+                        if a < z
+                        else None
+                    )
+                return out
 
             return kernel
 
@@ -412,10 +348,6 @@ class PLM(CommunityDetector):
                 np.subtract.at(comm_size, src, 1)
                 np.add.at(comm_size, dst, 1)
             state["moves"] += int(nodes.size)
-            if state["spec"] is not None:
-                comm_dirty[src] = True
-                comm_dirty[dst] = True
-                state["spec_dirty"] = True
             moved_batches.append(nodes)
 
         sweeps = 0
@@ -454,7 +386,6 @@ class PLM(CommunityDetector):
         base_costs = degrees.astype(np.float64) + 3.0
         costs = np.empty(nodes_all.size, dtype=np.float64)
         bad_sweeps = 0
-        prev_moves = order.size  # first sweep is always evaluated live
         with runtime.section(section):
             while sweeps < self.max_sweeps:
                 state["moves"] = 0
@@ -471,57 +402,10 @@ class PLM(CommunityDetector):
                 rng.shuffle(order)
                 np.take(base_costs, order, out=costs)
                 plan = cache.plan(order)
-                labels_ord = labels[order]
-                vol_ord = volumes[order]
-                # The group-by's fused segment keys, once per sweep; the
-                # compiled kernels scan instead of sorting.
-                keys_all = (
-                    plan.seg * np.int64(n) if fused_ok and knb is None else None
-                )
-                if (
-                    self.speculate
-                    and prev_moves * 1024 < order.size
-                    and plan.seg.size
-                ):
-                    # Quiet sweep expected: speculate every block's
-                    # decision from the sweep-start state in one pass
-                    # (same ``decide`` the per-block kernel runs, so the
-                    # float operation tree is identical by construction).
-                    if knb is not None:
-                        decision = decide_compiled(
-                            labels_ord, vol_ord, plan.bounds, 0, plan.nbrs,
-                            plan.ws,
-                        )
-                    else:
-                        decision = decide(
-                            plan.seg,
-                            plan.nbrs,
-                            plan.ws,
-                            labels_ord,
-                            vol_ord,
-                            keys=keys_all,
-                        )
-                    s_move = np.zeros(order.size, dtype=bool)
-                    s_lab = np.zeros(order.size, dtype=np.int64)
-                    s_vol = np.zeros(order.size, dtype=np.float64)
-                    if decision is not None:
-                        pos, _, dst, vol = decision
-                        s_move[pos] = True
-                        s_lab[pos] = dst
-                        s_vol[pos] = vol
-                    comm_dirty[:] = False
-                    state["spec_dirty"] = False
-                    spec = (s_move, s_lab, s_vol, labels[plan.nbrs])
-                    spec_ctr["speculated_sweeps"] = (
-                        spec_ctr.get("speculated_sweeps", 0) + 1
-                    )
-                else:
-                    spec = None
-                state["spec"] = spec
                 runtime.charge(nodes_all.size * 0.5, parallel=True)
                 runtime.parallel_for(
                     order,
-                    make_kernel(plan, labels_ord, vol_ord, keys_all, spec),
+                    make_kernel(plan),
                     commit,
                     costs=costs,
                     schedule=self.schedule,
@@ -531,10 +415,11 @@ class PLM(CommunityDetector):
                     # PLP (~12x vs ~8x speedup in the paper).
                     memory_bound=0.45,
                     loop=f"{self.name.lower()}.{section}",
+                    # Only a ``None`` update (no move) is quiet.
+                    quiet=_never,
                 )
                 sweeps += 1
-                prev_moves = state["moves"]
-                if prev_moves == 0:
+                if state["moves"] == 0:
                     break
                 changed_any = True
                 # Incremental intra update: each non-loop edge incident to
@@ -614,10 +499,8 @@ class PLM(CommunityDetector):
             "refine_sweeps_per_level": [],
             "gamma": self.gamma,
         }
-        self._spec_counters = {}
         labels = self._detect(graph, runtime, 0, info)
         info["levels"] = len(info["sweeps_per_level"])
-        info["speculation"] = dict(self._spec_counters)
         info["kernel_backend"] = resolve_kernel_backend(self.kernel_backend)
         return labels, info
 

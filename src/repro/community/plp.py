@@ -28,7 +28,6 @@ import numpy as np
 from repro.community._kernels import (
     _hash_jitter,  # noqa: F401  (re-exported for repro.community.plp users)
     compiled_plp_vote,
-    gather_neighborhoods,
     group_from_gather,
     kernel_module,
     neighborhood_cache,
@@ -43,6 +42,10 @@ from repro.graph.csr import Graph
 from repro.parallel.runtime import ParallelRuntime
 
 __all__ = ["PLP"]
+
+
+def _moved_nothing(update) -> bool:
+    return update[0].size == 0
 
 
 class PLP(CommunityDetector):
@@ -190,30 +193,61 @@ class PLP(CommunityDetector):
         # changes between iterations, not between blocks).
         state["salt"] = base_salt
 
+        def updates(chunks, change, best, seg, nbrs):
+            """Per block ``(moved, new labels, stable, woken)``: ``woken``
+            are the moved nodes' neighbours, read off the rows the vote
+            already gathered (``seg`` counts positions of the blocks
+            concatenated)."""
+            sel = change[seg]
+            woken = nbrs[sel]
+            if len(chunks) == 1:
+                offs, cuts = [0, change.size], [0, woken.size]
+            else:
+                offs = np.cumsum([0] + [c.size for c in chunks])
+                cuts = np.searchsorted(seg[sel], offs).tolist()
+                offs = offs.tolist()
+            out = []
+            for b, chunk in enumerate(chunks):
+                ch = change[offs[b] : offs[b + 1]]
+                out.append(
+                    (
+                        chunk[ch],
+                        best[offs[b] : offs[b + 1]][ch],
+                        chunk[~ch],
+                        woken[cuts[b] : cuts[b + 1]],
+                    )
+                )
+            return out
+
         if knb is None:
 
-            def kernel(chunk: np.ndarray):
-                seg, nbrs, ws = state["plan"].block(chunk)
+            def kernel(chunks: list[np.ndarray]):
+                nodes, seg, nbrs, ws = state["plan"].batch(chunks)
                 # Labels are always node ids (< n), so the label-range
                 # scan inside the group-by can be skipped.
                 groups = group_from_gather(seg, labels[nbrs], ws, width=n)
                 change, best = plp_vote(
-                    groups, chunk, labels[chunk], state["salt"]
+                    groups, nodes, labels[nodes], state["salt"]
                 )
-                return chunk[change], best[change], chunk[~change]
+                return updates(chunks, change, best, seg, nbrs)
 
         else:
             vote = compiled_plp_vote(knb, n, cache.weights.dtype)
 
-            def kernel(chunk: np.ndarray):
-                bounds, lo, nbrs, ws = state["plan"].csr_block(chunk)
-                change, best = vote(
-                    chunk, labels, bounds, lo, nbrs, ws, state["salt"]
-                )
-                return chunk[change], best[change], chunk[~change]
+            def kernel(chunks: list[np.ndarray]):
+                # The compiled vote keeps one call per block.
+                out = []
+                for chunk in chunks:
+                    bounds, lo, nbrs, ws = state["plan"].csr_block(chunk)
+                    change, best = vote(
+                        chunk, labels, bounds, lo, nbrs, ws, state["salt"]
+                    )
+                    seg, nbrs, _ = state["plan"].block(chunk)
+                    out += updates([chunk], change, best, seg, nbrs)
+                return out
 
         def commit(update) -> None:
-            moved, new_labels, stable = update
+            moved, new_labels, stable, woken = update
             # Nodes already carrying the dominant label go inactive first...
             active[stable] = False
             if moved.size:
@@ -227,8 +261,7 @@ class PLP(CommunityDetector):
                 # could then never be revisited.) A stable node is still
                 # deactivated for good by later-committing blocks only if
                 # none of their moves touch its neighborhood.
-                _, nbrs, _ = gather_neighborhoods(graph, moved)
-                active[nbrs] = True
+                active[woken] = True
 
         with runtime.section(section):
             iteration = 0
@@ -265,6 +298,9 @@ class PLP(CommunityDetector):
                     # caps PLP's speedup near 8x on the paper's machine.
                     memory_bound=0.8,
                     loop=f"{self.name.lower()}.{section}",
+                    # Kernels read labels only: ``active`` is read between
+                    # iterations, so a commit that moved no node is quiet.
+                    quiet=_moved_nothing,
                 )
                 iteration += 1
                 iterations.append(

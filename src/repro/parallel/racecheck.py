@@ -35,12 +35,12 @@ staleness, which are lock-modeled accumulators) is documented in
 ``docs/CORRECTNESS.md``.
 
 **What is and is not covered.** The checker sees *live* indexed accesses to
-tracked arrays. Sweep-start snapshots (PLM's ``labels[order]`` prefetch)
-and the speculation fast path read copies taken outside any block and are
-therefore invisible to footprint tracking; their equivalence to live reads
-is the "a node's label cannot change before its own block runs" argument,
-validated separately by :func:`verify_schedule_independence` and the
-speculation regression tests.
+tracked arrays, attributed to one block each: under racecheck the runtime
+calls even a read-batching kernel (``parallel_for(quiet=...)``) with one
+block per call. That batching itself is therefore not what the checker
+sees; its exactness (a batched call reads what per-block calls read) is
+validated separately by the read-batching A/B tests, which compare every
+opted-in detector under racecheck with the default runtime byte for byte.
 """
 
 from __future__ import annotations

@@ -14,6 +14,12 @@ discrete-event simulation of per-thread clocks:
   with 1 thread the execution is exactly sequential-asynchronous, with
   ``p`` threads roughly ``p`` chunks are mutually invisible at any time.
 
+A loop's block schedule (starts, durations, which commits land before
+each block) is laid out before any kernel runs, since it depends on costs
+only. That lets an opted-in loop (``parallel_for(quiet=...)``) hand its
+kernel a whole run of blocks at once when no visible write lands between
+them: fewer host calls, the same reads, commits and simulated time.
+
 Simulated time accumulates on the runtime and is read via
 :attr:`ParallelRuntime.elapsed`; named sections give per-phase breakdowns.
 
@@ -52,7 +58,8 @@ from repro.parallel.tracing import (
 
 __all__ = ["ParallelRuntime", "ParallelForStats", "RuntimeSnapshot"]
 
-Kernel = Callable[[np.ndarray], Any]
+#: ``kernel(block) -> update``, or ``kernel(blocks) -> updates`` with ``quiet``.
+Kernel = Callable[[Any], Any]
 Commit = Callable[[Any], None]
 
 
@@ -333,6 +340,7 @@ class ParallelRuntime:
         grain: int = 32,
         memory_bound: float = 0.0,
         loop: str | None = None,
+        quiet: Callable[[Any], bool] | None = None,
     ) -> ParallelForStats:
         """Run ``kernel`` over ``items`` in simulated parallel.
 
@@ -343,7 +351,8 @@ class ParallelRuntime:
         kernel:
             Called with a contiguous slice of ``items``; reads shared state
             freely and returns an *update* object describing its writes
-            (or ``None``).
+            (or ``None``). With ``quiet``, called with a list of such
+            slices and returns a list of updates.
         commit:
             Applies one update to the shared state. Called at the chunk's
             simulated completion time. If ``None``, kernels must be pure
@@ -377,6 +386,19 @@ class ParallelRuntime:
             Telemetry label for this loop (e.g. ``"plp.propagate"``);
             loops sharing a label aggregate into one
             :class:`~repro.parallel.tracing.LoopTelemetry` row.
+        quiet:
+            Opt into read-batching. A predicate telling whether a
+            (non-``None``) update is *quiet*: its commit writes nothing
+            any kernel of this loop reads. ``None`` updates are always
+            quiet, since they are never committed. With ``quiet`` given,
+            ``kernel`` takes a **list** of blocks and returns one update
+            per block, and each call gets a run of consecutive blocks (in
+            start order) that provably read identical state: the run ends
+            before a block whose preceding commits include a non-quiet
+            one or one from a block of the run itself. Commits still land
+            one at a time at their simulated points, so kernels read what
+            per-block calls would read and labels, times and telemetry
+            are unchanged. Racecheck keeps one block per call.
         """
         items = np.asarray(items)
         n = items.size
@@ -415,6 +437,7 @@ class ParallelRuntime:
                 label=label,
                 kind=kind,
                 start_abs=start_abs,
+                quiet=quiet,
             )
         except BaseException:
             if rc is not None:
@@ -467,6 +490,7 @@ class ParallelRuntime:
         label: str = "parallel_for",
         kind: str = "",
         start_abs: float = 0.0,
+        quiet: Callable[[Any], bool] | None = None,
     ) -> ParallelForStats:
         p = self.threads
         rate = self.machine.effective_rate(p, memory_bound)
@@ -474,9 +498,19 @@ class ParallelRuntime:
         clocks = [0.0] * p
         busy = [0.0] * p
         disp = [0.0] * p
-        pending: list[tuple[float, int, Any, tuple[int, int]]] = []
-        seq = 0
-        blocks_run = 0
+        # Phase 1 lays the whole loop out: block starts, durations and
+        # which commits land before each block depend on costs, schedule
+        # and dispatch overhead only, never on what a kernel returns.
+        # ``spans[j]`` is block j's ``(lo, hi, chunk)`` in start order;
+        # ``steps`` is the execution sequence, ``j`` running block j and
+        # ``~k`` landing block k's commit.
+        spans: list[tuple[int, int, int]] = []
+        steps: list[int] = []
+        pending: list[tuple[float, int]] = []
+        # Max over ``pending``'s ends: pops take the min, so the max only
+        # leaves with the last entry; a running max reset when the set
+        # empties is exact.
+        pending_max = 0.0
         lag_sum = 0.0
         lag_max = 0.0
         lag_blocks = 0
@@ -543,38 +577,28 @@ class ParallelRuntime:
                 continue  # thread idles out
             lo, hi, first, ci = blocks[t].popleft()
             block_dispatch = dispatch if first else 0.0
-            # Make all writes from blocks that finished by `start` visible.
+            # All writes from blocks that finished by `start` are visible.
             while pending and pending[0][0] <= start:
-                _, _, update, ckey = heapq.heappop(pending)
-                if commit is not None and update is not None:
-                    if rc is not None:
-                        rc.set_block(ckey, "commit")
-                    commit(update)
-                    if rc is not None:
-                        rc.clear_block()
+                steps.append(~heapq.heappop(pending)[1])
             # Stale-commit lag: writes still in flight at kernel-read time
             # land later; the gap to the latest of them is how stale this
             # block's view of the shared state is.
             block_lag = 0.0
             if pending:
-                block_lag = max(entry[0] for entry in pending) - start
+                block_lag = pending_max - start
                 lag_sum += block_lag
                 lag_max = max(lag_max, block_lag)
                 lag_blocks += 1
-            key = (ci, blocks_run)
-            if rc is not None:
-                rc.set_block(key, "kernel")
-            update = kernel(items[lo:hi])
-            if rc is not None:
-                rc.clear_block()
+            j = len(spans)
+            spans.append((lo, hi, ci))
+            steps.append(j)
             duration = float(costs[lo:hi].sum()) / rate
             end = start + duration
             clocks[t] = end
             busy[t] += duration
             disp[t] += block_dispatch
-            blocks_run += 1
-            heapq.heappush(pending, (end, seq, update, key))
-            seq += 1
+            pending_max = max(pending_max, end) if pending else end
+            heapq.heappush(pending, (end, j))
             heapq.heappush(ready, (next_start(t, end), t))
             if capture:
                 tracer.record_block(
@@ -595,13 +619,66 @@ class ParallelRuntime:
 
         # Loop barrier: drain remaining commits in completion order.
         while pending:
-            _, _, update, ckey = heapq.heappop(pending)
-            if commit is not None and update is not None:
-                if rc is not None:
-                    rc.set_block(ckey, "commit")
-                commit(update)
-                if rc is not None:
-                    rc.clear_block()
+            steps.append(~heapq.heappop(pending)[1])
+
+        # Phase 2 walks ``steps``. A block heads a kernel call; with
+        # ``quiet`` the call also takes every later block up to the first
+        # commit that is non-quiet or comes from a block of the call, so
+        # the commits it passes over write nothing the call's kernels
+        # read. They still land one at a time, in order, after the call.
+        updates: list[Any] = [None] * len(spans)
+
+        def land(k: int) -> None:
+            update = updates[k]
+            updates[k] = None
+            if commit is None or update is None:
+                return
+            if rc is not None:
+                rc.set_block((spans[k][2], k), "commit")
+            commit(update)
+            if rc is not None:
+                rc.clear_block()
+
+        batching = quiet is not None and rc is None
+        call = kernel if quiet is not None else lambda one: [kernel(one[0])]
+        nsteps = len(steps)
+        i = 0
+        while i < nsteps:
+            head = steps[i]
+            if head < 0:
+                land(~head)
+                i += 1
+                continue
+            stop = i + 1
+            if batching:
+                while stop < nsteps:
+                    step = steps[stop]
+                    if step < 0:
+                        # Blocks are numbered in start order, so ``~step >=
+                        # head`` is a block of this call: its update is
+                        # not known yet.
+                        update = updates[~step]
+                        if ~step >= head or not (update is None or quiet(update)):
+                            break
+                    stop += 1
+            run = [j for j in steps[i:stop] if j >= 0]
+            if rc is not None:
+                rc.set_block((spans[head][2], head), "kernel")
+            out = call([items[spans[j][0] : spans[j][1]] for j in run])
+            if rc is not None:
+                rc.clear_block()
+            if len(out) != len(run):
+                raise ValueError(
+                    f"kernel returned {len(out)} updates for {len(run)} blocks"
+                )
+            for j, update in zip(run, out):
+                updates[j] = update
+            # The call's other blocks and the quiet commits it passed over
+            # sit in (i, stop); the commits land now, in their order.
+            for step in steps[i + 1 : stop]:
+                if step < 0:
+                    land(~step)
+            i = stop
 
         barrier = self._barrier_cost() if clocks else 0.0
         elapsed = max(clocks) + barrier if clocks else 0.0
@@ -612,7 +689,7 @@ class ParallelRuntime:
             busy=tuple(busy),
             dispatch=tuple(disp),
             barrier=barrier,
-            blocks=blocks_run,
+            blocks=len(spans),
             items=int(items.size),
             schedule=kind,
             memory_bound=memory_bound,

@@ -18,6 +18,7 @@ import repro.community._kernels_numba as knb
 from repro.community.plm import PLM
 from repro.community.plp import PLP
 from repro.graph import generators
+from repro.parallel import PAPER_MACHINE, ParallelRuntime
 
 
 @pytest.fixture(autouse=True)
@@ -36,6 +37,13 @@ def graph(policy):
         300, 6, 0.3, 0.01, seed=7, dtype_policy=policy
     )
     return g
+
+
+def plain_runtime(threads):
+    """A runtime without racecheck, even under ``REPRO_RACECHECK=1``:
+    racecheck pins the NumPy kernels by design, and these tests spy on
+    the compiled ones."""
+    return ParallelRuntime(PAPER_MACHINE, threads=threads, racecheck=False)
 
 
 def expected_dtypes(policy):
@@ -76,7 +84,9 @@ class TestPLPArguments:
         # plp_block(chunk, labels, bounds, lo, nbrs, ws, salt, ...)
         spy = SpyCalls(knb.plp_block, nbrs_idx=4, ws_idx=5, labels_idx=1)
         monkeypatch.setattr(knb, "plp_block", spy)
-        PLP(threads=4, seed=2, kernel_backend="numba").run(graph)
+        PLP(threads=4, seed=2, kernel_backend="numba").run(
+            graph, runtime=plain_runtime(4)
+        )
         assert spy.calls
         idx_dt, w_dt = expected_dtypes(policy)
         nbrs_ids = set()
@@ -96,7 +106,9 @@ class TestPLMArguments:
         # plm_decide_block(cur, vol_u, labels, bounds, lo, nbrs, ws, ...)
         spy = SpyCalls(knb.plm_decide_block, nbrs_idx=5, ws_idx=6, labels_idx=2)
         monkeypatch.setattr(knb, "plm_decide_block", spy)
-        PLM(threads=4, seed=2, kernel_backend="numba").run(graph)
+        PLM(threads=4, seed=2, kernel_backend="numba").run(
+            graph, runtime=plain_runtime(4)
+        )
         assert spy.calls
         idx_dt, w_dt = expected_dtypes(policy)
         nbrs_ids = set()
@@ -118,6 +130,8 @@ class TestPLMArguments:
             return original(*args)
 
         monkeypatch.setattr(knb, "plm_decide_block", spy)
-        PLM(threads=2, seed=1, kernel_backend="numba").run(graph)
+        PLM(threads=2, seed=1, kernel_backend="numba").run(
+            graph, runtime=plain_runtime(2)
+        )
         assert seen
         assert all(v == np.float64 and c == np.float64 for v, c in seen)

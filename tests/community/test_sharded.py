@@ -100,8 +100,18 @@ class TestBehaviour:
         assert "merge" in info and info["merge"]["coarse_n"] > 0
 
     def test_pooled_info_reports_backend_and_worker_peak(self):
+        from repro.parallel import PAPER_MACHINE
+        from repro.parallel.runtime import ParallelRuntime
+
         g = _rmat()
-        info = ShardedPLP(threads=8, seed=0, shards=2, workers=2).run(g).info
+        # Racecheck pins execution inline by design; this test is about
+        # the pooled path, so its runtime never checks races.
+        runtime = ParallelRuntime(PAPER_MACHINE, 8, racecheck=False)
+        info = (
+            ShardedPLP(threads=8, seed=0, shards=2, workers=2)
+            .run(g, runtime=runtime)
+            .info
+        )
         assert info["backend"] == "process"
         # Linux-only VmHWM self-report; present on the CI hosts.
         if info.get("worker_peak_rss_mb") is not None:

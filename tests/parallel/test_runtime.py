@@ -327,3 +327,136 @@ class TestNestedParallelism:
         rt.join_max(subs, prefix="base")
         assert [r.loop for r in rt.loop_records] == ["sub.loop", "sub.loop"]
         assert all(not s.loop_records for s in subs)
+
+
+class VersionedLoop:
+    """A synthetic loop over versioned shared state.
+
+    Each block logs the state version its kernel reads; a commit bumps
+    the version unless its update is quiet (``update[1]`` false) or
+    ``None``. Which blocks are noisy or silent is a function of the
+    block's first item only, so it does not depend on how blocks are
+    grouped into kernel calls.
+    """
+
+    def __init__(self):
+        self.version = 0
+        self.reads: dict[int, int] = {}
+        self.events: list[tuple[str, int]] = []
+        self.calls: list[list[int]] = []
+
+    def block(self, chunk):
+        b = int(chunk[0])
+        self.reads[b] = self.version
+        self.events.append(("k", b))
+        if b % 5 == 1:
+            return None
+        return b, b % 3 == 0
+
+    def kernel(self, chunk):
+        self.calls.append([int(chunk[0])])
+        return self.block(chunk)
+
+    def batched(self, chunks):
+        self.calls.append([int(c[0]) for c in chunks])
+        return [self.block(c) for c in chunks]
+
+    def commit(self, update):
+        b, noisy = update
+        self.events.append(("c", b))
+        if noisy:
+            self.version += 1
+
+    @staticmethod
+    def quiet(update):
+        return not update[1]
+
+
+def _run_versioned(batched, schedule, threads, permutation):
+    rt = ParallelRuntime(
+        threads=threads, racecheck=False, chunk_permutation=permutation,
+        tracer=Tracer(),
+    )
+    loop = VersionedLoop()
+    rng = np.random.default_rng(threads)
+    kwargs = {"quiet": VersionedLoop.quiet} if batched else {}
+    stats = rt.parallel_for(
+        np.arange(700),
+        loop.batched if batched else loop.kernel,
+        loop.commit,
+        costs=rng.integers(1, 40, 700).astype(np.float64),
+        schedule=schedule,
+        grain=7,
+        **kwargs,
+    )
+    return loop, stats, rt.tracer.events
+
+
+class TestReadBatching:
+    """``parallel_for(quiet=...)`` calls the kernel once per run of blocks
+    that read identical state, and changes nothing else."""
+
+    CASES = list(
+        itertools.product(("static", "dynamic", "guided"), (1, 4, 32), (None, 3))
+    )
+
+    @pytest.mark.parametrize("schedule,threads,permutation", CASES)
+    def test_reads_commits_and_stats_identical(self, schedule, threads, permutation):
+        ref, ref_stats, _ = _run_versioned(False, schedule, threads, permutation)
+        got, stats, _ = _run_versioned(True, schedule, threads, permutation)
+        assert got.reads == ref.reads
+        commits = [e for e in ref.events if e[0] == "c"]
+        assert [e for e in got.events if e[0] == "c"] == commits
+        assert stats == ref_stats  # busy, dispatch, blocks, stale lag, ...
+
+    @pytest.mark.parametrize("schedule,threads,permutation", CASES)
+    def test_no_call_crosses_a_visible_commit(self, schedule, threads, permutation):
+        ref, _, _ = _run_versioned(False, schedule, threads, permutation)
+        got, _, _ = _run_versioned(True, schedule, threads, permutation)
+        noisy = {b for b, v in ref.reads.items() if b % 5 != 1 and b % 3 == 0}
+        where = {e: i for i, e in enumerate(ref.events)}
+        for call in got.calls:
+            # Commits landing between the call's first and last block in
+            # the per-block order: none may be noisy or from the call.
+            between = ref.events[where[("k", call[0])] : where[("k", call[-1])]]
+            landed = {b for kind, b in between if kind == "c"}
+            assert not landed & noisy
+            assert not landed & set(call)
+        if threads == 1:
+            assert all(len(call) == 1 for call in got.calls)
+        else:
+            assert any(len(call) > 1 for call in got.calls)
+        assert sorted(b for call in got.calls for b in call) == sorted(ref.reads)
+
+    @pytest.mark.parametrize("threads", (1, 4, 32))
+    def test_stale_lag_is_the_max_over_pending_writes(self, threads):
+        # Independent of the runtime's running max: a block's lag is the
+        # latest end among earlier-started blocks still in flight.
+        _, stats, events = _run_versioned(True, "guided", threads, None)
+        lags = []
+        for j, ev in enumerate(events):
+            ends = [e.end for e in events[:j] if e.end > ev.start]
+            lag = max(ends) - ev.start if ends else 0.0
+            assert ev.stale_lag == lag
+            if ends:
+                lags.append(lag)
+        assert stats.stale_blocks == len(lags)
+        assert stats.stale_lag_max == max(lags, default=0.0)
+        assert stats.stale_lag_sum == sum(lags)
+
+    def test_racecheck_runs_one_block_per_call(self):
+        rt = ParallelRuntime(threads=8, racecheck=True)
+        loop = VersionedLoop()
+        rt.parallel_for(
+            np.arange(300), loop.batched, loop.commit, grain=5,
+            quiet=VersionedLoop.quiet,
+        )
+        assert loop.calls and all(len(call) == 1 for call in loop.calls)
+
+    def test_update_count_is_checked(self):
+        rt = ParallelRuntime(threads=4, racecheck=False)
+        with pytest.raises(ValueError, match="updates for"):
+            rt.parallel_for(
+                np.arange(100), lambda chunks: [], lambda u: None, grain=5,
+                quiet=lambda u: True,
+            )
